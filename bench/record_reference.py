@@ -11,12 +11,15 @@ package is meant to change its results, and say so in the change.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
+from run import PINNED_ENV
 from workload import ROOT, import_package, run_job
 
 
 def main() -> int:
+    os.environ.update(PINNED_ENV)  # before numpy loads: the benchmark's BLAS settings
     cli = import_package()
     import jobs
 

@@ -1,14 +1,16 @@
 """Benchmark of the ``penning-chain`` CLI pipeline.
 
-    python3 bench/run.py --workload sweep_cold --seed 0 --seconds 28 --trace 0
+    python3 bench/run.py --workload sweep_cold --seed 0 --trace 0
     python3 bench/run.py --seed 0          # all four workloads, one after another
 
 Run from the repository root.  Each workload runs in its own process
 (``workload.py``) with BLAS/OpenMP threads pinned to 1 and a fixed
-``PYTHONHASHSEED``; workloads never overlap.  Set-up is timed from spawn to
-the child's ``READY`` line, in the measuring process and in
-``SETUP_SAMPLES`` set-up-only processes (half before it, half after), and
-reported as the median.  The last line of standard output is one JSON
+``PYTHONHASHSEED``; workloads never overlap.  Every workload measures for
+``run_seconds`` of ``BENCHMARK.json``; ``--seconds``, if given, must equal
+it.  Set-up is timed from spawn to the child's ``READY`` line, for the
+measuring process and for the set-up-only processes it times between passes
+through its pool, and reported as the median.  The last line of standard
+output is one JSON
 object: ``correct``, ``attempted``, ``failed`` and the end-to-end metrics
 (``--trace 0``) or the per-layer metrics (``--trace 1``) named in
 ``BENCHMARK.json``.  A run record with the environment, machine
@@ -30,8 +32,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT_DIR = ROOT / ".bench_out"
 WORKLOADS = ("sweep_cold", "sweep_hot", "chain_transfer", "oracle_validate")
-SETUP_SAMPLES = 6
-# Extra wall time a child may take beyond --seconds (set-up, warm-up, checks).
+# Extra wall time a child may take beyond its timed seconds (set-ups, warm-up, checks).
 CHILD_SLACK_S = 100.0
 PINNED_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
@@ -72,20 +73,12 @@ def spawn(args: list[str], timeout: float) -> tuple[float, str]:
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
-    common = ["--workload", name, "--seed", str(seed), "--out-dir", str(OUT_DIR)]
-    def setup_only() -> float:
-        return spawn([*common, "--setup-only"], 60.0)[0]
-
-    # half the set-up-only samples before the measuring process, half after,
-    # so that the median spans the whole run
-    setups = [setup_only() for _ in range(SETUP_SAMPLES // 2)]
-    setup_s, last = spawn([*common, "--seconds", str(seconds), "--trace", str(trace)],
+    setup_s, last = spawn(["--workload", name, "--seed", str(seed), "--out-dir", str(OUT_DIR),
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           seconds + CHILD_SLACK_S)
     report = json.loads(last)
-    setups.append(setup_s)
-    setups += [setup_only() for _ in range(SETUP_SAMPLES - SETUP_SAMPLES // 2)]
-    report["setup_samples_s"] = setups
-    report["setup_s"] = statistics.median(setups)
+    report["setup_samples_s"] = [setup_s, *report["setup_samples_s"]]
+    report["setup_s"] = statistics.median(report["setup_samples_s"])
     report["failed_frac"] = report["failed"] / report["attempted"]
     return report
 
@@ -115,7 +108,8 @@ def describe(report: dict, metrics: dict, trace: int) -> str:
         f"{report['env']['blas']}, {report['env']['process_threads']} thread(s)",
         f"  machine probe: {report['probe_s']['before']:.4f} s before, "
         f"{report['probe_s']['after']:.4f} s after (diagnostic, no bound)",
-        f"  setup_s samples: {', '.join(f'{s:.4f}' for s in report['setup_samples_s'])}",
+        f"  setup_s: median of {len(report['setup_samples_s'])} set-ups, "
+        f"{min(report['setup_samples_s']):.4f}-{max(report['setup_samples_s']):.4f} s",
     ]
     lines.extend(f"  {name:52s} {m['value']:.6g} {m['unit']}" for name, m in metrics.items())
     # printed on every run; not bounded in BENCHMARK.json (see bench/README.md)
@@ -133,7 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=None,
-                        help="timed seconds per workload (default: run_seconds of BENCHMARK.json)")
+                        help="timed seconds per workload; must equal run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -142,7 +136,11 @@ def main(argv=None) -> int:
         print(f"error: no penning_chain sources or BENCHMARK.json under {ROOT}", file=sys.stderr)
         return 2
     spec = json.loads(spec_file.read_text())
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
+    if args.seconds is not None and args.seconds != seconds:
+        print(f"error: --seconds {args.seconds:g} differs from run_seconds {seconds:g}, "
+              "the window the bounds were set for", file=sys.stderr)
+        return 2
     metric_spec = spec["per_layer" if args.trace else "end_to_end"]
     names = WORKLOADS if args.workload == "all" else (args.workload,)
 

@@ -8,11 +8,18 @@ memory, or, for the names in ``COUNTED``, only a call count; ``uninstall``
 puts the originals back, and the pair may be repeated.  Self time is a
 span's duration minus the time its child spans cover.  A traced name that
 the package no longer has is reported absent instead of failing the run.
+
+Wrapping costs time, and most of it lands in the caller's self time: the
+wrapper's bookkeeping around each child span or counted call, and the
+observers.  ``calibrate`` times an empty wrapped call against a plain one,
+observers are timed as they run, and ``per_job`` takes that cost off each
+span's self time.
 """
 
 from __future__ import annotations
 
 import functools
+import statistics
 import sys
 import time
 from array import array
@@ -127,7 +134,14 @@ class Tracer:
         self._start = array("d")
         self._end = array("d")
         self._self = array("d")
+        # per span: counted calls made directly inside it, and the observer
+        # time of its children, both spent in its self time
+        self._counted = array("l")
+        self._observer_s = array("d")
         self._stack: list[list] = []
+        # seconds per call, see ``calibrate``
+        self.cost = {"span_outside": 0.0, "span_inside": 0.0, "counted": 0.0}
+        self._cost_samples: dict[str, list[float]] = {}
         self.sums: dict[str, float] = {}
         self.maxima: dict[str, float] = {}
         self.absent: list[str] = []
@@ -144,7 +158,38 @@ class Tracer:
 
     def inside(self, span_name: str) -> bool:
         nid = self.span_names.index(span_name)
-        return any(self._name[idx] == nid for idx, _ in self._stack)
+        return any(self._name[frame[0]] == nid for frame in self._stack)
+
+    def calibrate(self, calls: int = 5_000) -> dict[str, float]:
+        """Time the wrappers on an empty function of three arguments: the
+        per-call cost outside a span's interval (charged to the caller),
+        inside it (charged to the span) and of a counted call.  Each call
+        adds one sample; ``cost`` is the median of all samples so far, so
+        calibrating all through a run follows the host's drift."""
+        probe = Tracer(targets=(("probe", "", "", None),), counted=())
+        probe._stack.append([-1, 0.0, 0, 0.0])  # a parent frame, as in a real call
+
+        def empty(a, b, key=None):
+            return None
+
+        span = probe._wrap(empty, nid=0, observe=None)
+        counted = probe._count(empty, key="probe", observe=None)
+        clock = time.perf_counter
+
+        def per_call(fn) -> float:
+            t0 = clock()
+            for _ in range(calls):
+                fn(1, 2, key=3)
+            return (clock() - t0) / calls
+
+        plain, wrapped, count = per_call(empty), per_call(span), per_call(counted)
+        recorded = (sum(probe._end) - sum(probe._start)) / calls
+        sample = {"span_outside": wrapped - recorded, "span_inside": recorded - plain,
+                  "counted": count - plain}
+        for key, value in sample.items():
+            self._cost_samples.setdefault(key, []).append(value)
+        self.cost = {key: max(statistics.median(v), 0.0) for key, v in self._cost_samples.items()}
+        return self.cost
 
     # -- installation ----------------------------------------------------
 
@@ -192,6 +237,7 @@ class Tracer:
     def _wrap(self, fn, nid: int, observe):
         names, parents, jobs = self._name, self._parent, self._job
         starts, ends, selfs = self._start, self._end, self._self
+        counted, observer_s = self._counted, self._observer_s
         stack = self._stack
         clock = time.perf_counter
         tracer = self
@@ -204,7 +250,10 @@ class Tracer:
             jobs.append(tracer.job)
             ends.append(0.0)
             selfs.append(0.0)
-            frame = [idx, 0.0]
+            counted.append(0)
+            observer_s.append(0.0)
+            # [span index, time of child spans, counted calls, observer time]
+            frame = [idx, 0.0, 0, 0.0]
             stack.append(frame)
             t0 = clock()
             starts.append(t0)
@@ -215,6 +264,8 @@ class Tracer:
                 stack.pop()
                 ends[idx] = t1
                 selfs[idx] = (t1 - t0) - frame[1]
+                counted[idx] = frame[2]
+                observer_s[idx] = frame[3]
                 if stack:
                     stack[-1][1] += t1 - t0
             if observe is not None:
@@ -225,11 +276,14 @@ class Tracer:
 
     def _count(self, fn, key: str, observe):
         sums = self.sums
+        stack = self._stack
         tracer = self
 
         @functools.wraps(fn)
         def counted(*args, **kwargs):
             sums[key] = sums.get(key, 0.0) + 1.0
+            if stack:
+                stack[-1][2] += 1
             result = fn(*args, **kwargs)
             if observe is not None:
                 tracer._observe(observe, result)
@@ -238,10 +292,14 @@ class Tracer:
         return counted
 
     def _observe(self, observe, result) -> None:
+        """Run an observer; its time is charged to the innermost open span."""
+        t0 = time.perf_counter()
         try:
             observe(self, result)
         except Exception as exc:  # a changed result type must not stop the run
             self.observer_errors.append(f"{observe.__name__}: {type(exc).__name__}: {exc}")
+        if self._stack:
+            self._stack[-1][3] += time.perf_counter() - t0
 
     # -- results ---------------------------------------------------------
 
@@ -249,10 +307,23 @@ class Tracer:
     def n_spans(self) -> int:
         return len(self._name)
 
-    def per_job(self, n_jobs: int, job_seconds: float) -> dict[str, float]:
-        """Per-job calls, self time and counts; layer shares of job time."""
+    def wrapper_cost(self) -> np.ndarray:
+        """Per span, the tracing cost in its self time: the bookkeeping around
+        its child spans and counted calls, their observers, and its own
+        inside share, from the calibrated costs."""
+        n = self.n_spans
+        children = np.bincount(np.array(self._parent, dtype=np.int64) + 1, minlength=n + 1)[1:]
+        return (children * self.cost["span_outside"]
+                + np.array(self._counted, dtype=np.float64) * self.cost["counted"]
+                + np.array(self._observer_s, dtype=np.float64)
+                + self.cost["span_inside"])
+
+    def per_job(self, n_jobs: int, untraced_job_s: float) -> dict[str, float]:
+        """Per-job calls, self time less tracing cost, and counts; layer
+        shares of the mean untraced job time ``untraced_job_s``."""
         names = np.array(self._name, dtype=np.int64)
-        selfs = np.array(self._self, dtype=np.float64)
+        cost = self.wrapper_cost()
+        selfs = np.array(self._self, dtype=np.float64) - cost
         n_names = len(self.span_names)
         calls = np.bincount(names, minlength=n_names)
         self_s = np.bincount(names, weights=selfs, minlength=n_names)
@@ -265,7 +336,8 @@ class Tracer:
             layer = name.split(".", 1)[0]
             layer_s[layer] = layer_s.get(layer, 0.0) + self_s[nid]
         for layer, seconds in layer_s.items():
-            out[f"layer.{layer}.self_frac"] = seconds / job_seconds if job_seconds > 0 else 0.0
+            out[f"layer.{layer}.self_frac"] = seconds / jobs / untraced_job_s if untraced_job_s > 0 else 0.0
+        out["trace.cost_s"] = float(cost.sum()) / jobs
         out.update({key: value / jobs for key, value in self.sums.items()})
         out.update(self.maxima)
         out["trace.spans_per_job"] = self.n_spans / jobs
@@ -284,4 +356,5 @@ class Tracer:
             start=np.array(self._start, dtype=np.float64),
             end=np.array(self._end, dtype=np.float64),
             self_s=np.array(self._self, dtype=np.float64),
+            wrapper_cost_s=self.wrapper_cost(),
         )

@@ -31,15 +31,16 @@ def _pool(name: str, tmp_path: Path, seed: int = SEED):
     return jobs.WORKLOADS[name].make_pool(seed, tmp_path)
 
 
-def _corrupt_first_row(calls, column: str, call: int = 0):
-    """Scale one value in the first data row of a call by 1 + 1e-6."""
+def _corrupt_row(calls, column: str, call: int = 0, row: int = 0, scale: float = 1.0 + 1e-6,
+                 shift: float = 0.0):
+    """Scale, then shift, one value of a data row of a call."""
     text = calls[call].stdout
     lines = text.splitlines(keepends=True)
     header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
-    fields = lines[header + 1].rstrip("\n").split(",")
+    fields = lines[header + 1 + row].rstrip("\n").split(",")
     k = lines[header].rstrip("\n").split(",").index(column)
-    fields[k] = f"{float(fields[k]) * (1.0 + 1e-6):.12g}"
-    lines[header + 1] = ",".join(fields) + "\n"
+    fields[k] = f"{float(fields[k]) * scale + shift:.12g}"
+    lines[header + 1 + row] = ",".join(fields) + "\n"
     calls = list(calls)
     calls[call] = dataclasses.replace(calls[call], stdout="".join(lines))
     return calls
@@ -62,7 +63,7 @@ def test_corrupted_sweep_output_counts_as_failed(tmp_path, column):
     workload = jobs.WORKLOADS["sweep_hot"]
     pool = _pool("sweep_hot", tmp_path)
     good = run_job(cli, pool[0], jobs)
-    bad = _corrupt_first_row(good, column)
+    bad = _corrupt_row(good, column)
     outputs = {output_key(0, good): good, output_key(0, bad): bad}
     verdicts = judge(workload, pool, outputs, SEED, None)
     timed = [Timed(0, 0.1, key, False) for key in outputs]
@@ -109,8 +110,29 @@ def test_corrupted_transfer_curve_fails(tmp_path):
     pool = _pool("chain_transfer", tmp_path)
     good = run_job(cli, pool[0], jobs)
     assert workload.check(pool[0], good, SEED, None) == []
-    assert workload.check(pool[0], _corrupt_first_row(good, "fidelity", call=1), SEED, None)
+    assert workload.check(pool[0], _corrupt_row(good, "fidelity", call=1), SEED, None)
+    # mid-curve, by more than the rounding allowance, on either chain
+    for call in (0, 1):
+        bad = _corrupt_row(good, "fidelity", call=call, row=300, scale=1.0, shift=-0.02)
+        assert workload.check(pool[0], bad, SEED, None)
 
+
+def test_transfer_check_ignores_path_and_rounding(tmp_path):
+    """A correct program may take the other path for the small chain and move
+    the curves by rounding: neither fails, against the recorded values too."""
+    workload = jobs.WORKLOADS["chain_transfer"]
+    pool = _pool("chain_transfer", tmp_path, seed=jobs.DEFAULT_SEED)
+    reference = jobs.load_reference()
+    good = run_job(cli, pool[0], jobs)
+    assert "# path: dense" in good[0].stdout
+    moved = [dataclasses.replace(good[0], stdout=good[0].stdout.replace("# path: dense", "# path: subspace")),
+             good[1]]
+    for call in (0, 1):
+        for row in range(1, jobs.CURVE_POINTS, 17):
+            moved = _corrupt_row(moved, "fidelity", call=call, row=row, scale=1.0, shift=3e-7)
+    assert workload.check(pool[0], moved, jobs.DEFAULT_SEED, reference) == []
+    shifted = _corrupt_row(good, "fidelity", call=0, row=jobs.CURVE_POINTS - 1, scale=1.0, shift=1e-3)
+    assert workload.check(pool[0], shifted, jobs.DEFAULT_SEED, reference)
 
 def test_tracer_self_times_add_up_and_originals_return():
     import penning_chain.couplings as couplings
@@ -124,13 +146,17 @@ def test_tracer_self_times_add_up_and_originals_return():
         tracer.uninstall()
     assert couplings.pair_coupling_strengths is original
     assert tracer.absent == [] and tracer.observer_errors == []
+    tracer.calibrate()
+    assert tracer.cost["span_outside"] > 0.0
     per_job = tracer.per_job(1, 1.0)
     assert per_job["cli.main.calls"] == 1
     # called through the benchmarks module, which imported it by name
     assert per_job["couplings.pair_coupling_strengths.calls"] > 0
+    # self times less tracing cost, plus that cost, cover the root span
     total_self = sum(v for k, v in per_job.items() if k.endswith(".self_s"))
     root = tracer._end[0] - tracer._start[0]
-    assert total_self == pytest.approx(root, rel=1e-9)
+    assert 0.0 < per_job["trace.cost_s"] < root
+    assert total_self + per_job["trace.cost_s"] == pytest.approx(root, rel=1e-9)
 
 
 def test_missing_traced_name_is_reported_absent():
@@ -146,10 +172,16 @@ def test_refuses_to_run_without_the_package(tmp_path):
     shutil.copy(run.ROOT / "BENCHMARK.json", tmp_path)
     shutil.copytree(run.BENCH_DIR, tmp_path / run.BENCH_DIR.name,
                     ignore=shutil.ignore_patterns("__pycache__"))
+    seconds = str(json.loads((run.ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     proc = subprocess.run(
         [sys.executable, f"{run.BENCH_DIR.name}/run.py", "--workload", "sweep_hot", "--seed", "1",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", seconds, "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def test_refuses_another_window(capsys):
+    assert run.main(["--workload", "sweep_hot", "--seed", "1", "--seconds", "1"]) == 2
+    assert '"metrics"' not in capsys.readouterr().out

@@ -1,12 +1,14 @@
 """One benchmark workload in one single-threaded process.
 
-Started by ``run.py``, which times set-up from the spawn until this process
+Started by ``run.py``.  Set-up is the time from a process's spawn until it
 prints ``READY``: by then the package is imported and the seeded inputs are
 written.  With ``--setup-only`` the process stops there.  Otherwise it runs
 warm-up jobs, then closed-loop timed jobs (one client: each job starts when
 the previous one ends) calling ``penning_chain.cli.main`` in-process, then
-checks every job's output outside the timed window.  The last line of its
-standard output is a JSON report.
+checks every job's output outside the timed window.  After each pass
+through the pool the clock stops while a ``--setup-only`` process is timed,
+so that set-up is sampled all through the run.  The last line of standard
+output is a JSON report.
 
 With ``--trace 1`` every other pass through the pool runs with span wrappers
 installed, and the report carries the per-layer figures of the traced jobs.
@@ -23,6 +25,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import sys
 import time
 import traceback
@@ -86,13 +89,30 @@ def run_one(cli, job, job_module, outputs, traced: bool) -> Timed:
     return Timed(job.index, seconds, key, traced)
 
 
-def run_phase(cli, pool, job_module, seconds, first, timed, outputs, tracer=None) -> float:
-    """Closed loop until ``seconds`` have passed; returns the phase's wall time.
+def time_setup(args) -> float:
+    """Spawn a ``--setup-only`` process like this one; seconds until READY."""
+    cmd = [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+           "--out-dir", str(args.out_dir), "--setup-only"]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT)
+    ready = proc.stdout.readline().strip() == "READY"
+    seconds = time.perf_counter() - t0
+    proc.communicate(timeout=60)
+    if not ready or proc.returncode != 0:
+        raise RuntimeError(f"set-up process exited {proc.returncode}")
+    return seconds
 
-    With a tracer, passes through the pool alternate between untraced and
-    traced, so that both kinds of job see the same drift of the host.
+
+def run_phase(cli, pool, job_module, seconds, first, timed, outputs, between_passes,
+              tracer=None) -> float:
+    """Closed loop until ``seconds`` of job time have passed; returns them.
+
+    ``between_passes`` runs after each pass through the pool, off the clock.
+    With a tracer, passes alternate between untraced and traced, so that
+    both kinds of job see the same drift of the host.
     """
     begin = time.perf_counter()
+    paused = 0.0
     i = first
     while True:
         traced = tracer is not None and (i // len(pool)) % 2 == 1
@@ -105,9 +125,13 @@ def run_phase(cli, pool, job_module, seconds, first, timed, outputs, tracer=None
             if traced:
                 tracer.uninstall()
         i += 1
-        end = time.perf_counter()
-        if end - begin >= seconds:
-            return end - begin
+        elapsed = time.perf_counter() - begin - paused
+        if elapsed >= seconds:
+            return elapsed
+        if i % len(pool) == 0:
+            t0 = time.perf_counter()
+            between_passes()
+            paused += time.perf_counter() - t0
 
 
 def judge(workload, pool, outputs, seed, reference) -> dict:
@@ -207,7 +231,16 @@ def main(argv=None) -> int:
         import spans
 
         tracer = spans.Tracer()
-    timed_s = run_phase(cli, pool, jobs, args.seconds, WARMUP_JOBS, timed, outputs, tracer)
+        tracer.calibrate()
+    setups: list[float] = []
+
+    def between_passes():
+        setups.append(time_setup(args))
+        if tracer is not None:
+            tracer.calibrate()
+
+    timed_s = run_phase(cli, pool, jobs, args.seconds, WARMUP_JOBS, timed, outputs,
+                        between_passes, tracer)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     probe_after = machine_probe()
 
@@ -231,6 +264,7 @@ def main(argv=None) -> int:
         "correct": not failed and not warm_failed,
         "problems": sorted({p for t in failed + warm_failed for p in verdicts[t.key][:3]})[:10],
         "timed_seconds": timed_s,
+        "setup_samples_s": setups,
         "peak_rss_mb": peak_rss_mb,
         "probe_s": {"before": probe_before, "after": probe_after},
         "env": env,
@@ -242,7 +276,12 @@ def main(argv=None) -> int:
     report["jobs_per_s"] = len(passed) / timed_s
     if tracer is not None:
         traced = [t for t in timed if t.traced]
-        layers = tracer.per_job(len(traced), sum(t.seconds for t in traced))
+        untraced_job_s = statistics.mean(t.seconds for t in timed if not t.traced)
+        layers = tracer.per_job(len(traced), untraced_job_s)
+        # job time that neither the untraced jobs nor the calibrated tracing
+        # cost account for: host drift and tracing cost the calibration misses
+        layers["trace.unexplained_frac"] = (
+            statistics.mean(t.seconds for t in traced) - layers["trace.cost_s"]) / untraced_job_s - 1.0
         per_output = {key: workload.output_counts(outputs[key]) for key in {t.key for t in traced}}
         counts: dict[str, float] = {}
         for t in traced:

@@ -18,7 +18,6 @@ import argparse
 import io
 import itertools
 import json
-import math
 import sys
 import warnings
 
@@ -49,14 +48,9 @@ from .couplings import (
     swap_time,
     write_csv,
 )
-from .fidelity_model import ValidityWarning, total_fidelity
+from .fidelity_model import total_fidelity
 from .microscopic_oracle import FockTruncation, run_validation_suite
-from .spin_chain import (
-    MAX_SITES,
-    build_effective_hamiltonian,
-    transfer_fidelity_curve,
-    transfer_fidelity_curve_subspace,
-)
+from .spin_chain import transfer_fidelity_curve_subspace
 from .trap_model import (
     AnomalyMode,
     ComplexFrequency,
@@ -277,16 +271,11 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
         raise ConfigError("[transfer] n_points must be >= 2")
     t_grid = np.linspace(0.0, t_max, n_points)
 
-    use_subspace = cfg.get("transfer", "subspace", cast=bool, default=False)
-    if geom.n_sites > MAX_SITES:
-        use_subspace = True
-    if use_subspace:
-        curve = transfer_fidelity_curve_subspace(
-            cm, dq.omega_s, theta, phi, t_grid, bloch_average=bloch
-        )
-    else:
-        ham = build_effective_hamiltonian(cm, dq.omega_s)
-        curve = transfer_fidelity_curve(ham, theta, phi, t_grid, bloch_average=bloch)
+    # A qubit sent from site 0 stays in the zero- and one-excitation
+    # sectors, so the (N+1)-dimensional block is exact for every N.
+    curve = transfer_fidelity_curve_subspace(
+        cm, dq.omega_s, theta, phi, t_grid, bloch_average=bloch
+    )
 
     theta_tag = "average" if bloch else _f12(theta)
     if args.fmt == "json":
@@ -294,7 +283,7 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
             "meta": _meta_dict(
                 "transfer", mode, orientation,
                 theta=theta_tag, n_sites=geom.n_sites,
-                path="subspace" if use_subspace else "dense",
+                path="subspace",
             ),
             "t": [float(v) for v in curve.t],
             "fidelity": [float(v) for v in curve.fidelity],
@@ -307,7 +296,7 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
             extra=(
                 f"# theta: {theta_tag}",
                 f"# n_sites: {geom.n_sites}",
-                f"# path: {'subspace' if use_subspace else 'dense'}",
+                "# path: subspace",
             ),
         )
         lines.append("t,fidelity,fidelity_raw")

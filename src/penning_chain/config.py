@@ -25,8 +25,7 @@ typo cannot silently fall back to a default.
     theta = average      # Bloch polar angle in radians, or "average"
     phi = 0.0
     t_max = 1e-4         # s (default: twice the end-to-end swap time)
-    n_points = 512
-    subspace = false     # force the one-excitation fast path
+    n_points = 512       # curves come from the exact one-excitation block
 
     [sweep]
     axes = gradient,spacing
@@ -71,7 +70,7 @@ _SCHEMA: dict[str, frozenset[str]] = {
     "chain": frozenset({"n_sites", "spacing", "orientation", "positions"}),
     "thermal": frozenset({"temperature", "k_bar", "n_bar", "l_bar"}),
     "run": frozenset({"mode"}),
-    "transfer": frozenset({"theta", "phi", "t_max", "n_points", "subspace"}),
+    "transfer": frozenset({"theta", "phi", "t_max", "n_points"}),
     "sweep": frozenset({"axes", "gradient", "spacing", "f_z", "f_c"}),
     "oracle": frozenset(
         {"epsilon", "freq_ratio", "xi_over_omega_z", "n_max", "k_max", "tolerance"}

@@ -114,27 +114,15 @@ def pair_coupling_strengths(
     return jz, jxy
 
 
-def _pair_values(
-    dq_i: DerivedQuantities,
-    dq_j: DerivedQuantities,
-    d: float,
-    consts: PhysicalConstants,
-) -> tuple[float, float, float]:
-    """Coupling values (xi, jz, jxy) for one pair, possibly with site-specific
-    trap settings.
+def _cubes(d: np.ndarray) -> np.ndarray:
+    """Elementwise ``d**3`` rounded as the scalar ``coulomb_scale`` rounds it.
 
-    For unequal sites the pair value is the geometric mean of the two
-    single-site values; this is the one place that convention lives.
+    numpy's array power rounds some cubes differently from the C ``pow`` of
+    a scalar, so each distinct distance is cubed as a scalar.
     """
-    xi_i = coulomb_scale(dq_i, d, consts)
-    xi_j = coulomb_scale(dq_j, d, consts)
-    jz_i, jxy_i = pair_coupling_strengths(dq_i, d, consts)
-    jz_j, jxy_j = pair_coupling_strengths(dq_j, d, consts)
-    return (
-        math.sqrt(xi_i * xi_j),
-        math.sqrt(jz_i * jz_j),
-        math.sqrt(jxy_i * jxy_j),
-    )
+    values = np.unique(d)
+    cubes = np.array([x**3 for x in values.tolist()])
+    return cubes[np.searchsorted(values, d)]
 
 
 def coupling_matrix(
@@ -149,9 +137,14 @@ def coupling_matrix(
     """All-pairs coupling matrix for the chain.
 
     ``dq`` is one set of derived quantities for identical traps or a per-site
-    sequence.  The validity regime of every site is checked first (at the
-    shortest pair distance, i.e. the largest Coulomb rate); failures raise
-    ``RegimeError`` unless ``force`` is set.
+    sequence.  The validity regime of every distinct trap is checked first
+    (at the shortest pair distance, i.e. the largest Coulomb rate); failures
+    raise ``RegimeError`` unless ``force`` is set.
+
+    Each entry repeats the operations of ``coulomb_scale`` and
+    ``pair_coupling_strengths``, so it equals the scalar value bit for bit.
+    For unequal sites the pair value is the geometric mean of the two
+    single-site values; this is the one place that convention lives.
     """
     n = geom.n_sites
     if isinstance(dq, DerivedQuantities):
@@ -168,7 +161,7 @@ def coupling_matrix(
 
     d_min = min(geom.distance(i, i + 1) for i in range(n - 1))
     failing: list[str] = []
-    for q in site_dq:
+    for q in dict.fromkeys(site_dq):
         report = validate_regime(q, xi=coulomb_scale(q, d_min, consts), l_bar=l_bar)
         failing.extend(report.failing())
     if failing and not force:
@@ -176,20 +169,34 @@ def coupling_matrix(
             "validity conditions failed: " + ", ".join(sorted(set(failing)))
         )
 
-    jz = np.zeros((n, n))
-    jxy = np.zeros((n, n))
-    xi = np.zeros((n, n))
     dist = geom.distances()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nearest_neighbor_only and j != i + 1:
-                continue
-            xi_ij, jz_ij, jxy_ij = _pair_values(
-                site_dq[i], site_dq[j], dist[i, j], consts
-            )
-            xi[i, j] = xi[j, i] = xi_ij
-            jz[i, j] = jz[j, i] = jz_ij
-            jxy[i, j] = jxy[j, i] = jxy_ij
+    if nearest_neighbor_only:
+        pairs = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    else:
+        pairs = ~np.eye(n, dtype=bool)
+
+    def column(values) -> np.ndarray:
+        return np.array(values)[:, None]
+
+    # Row i holds site i's single-site values at every distance d_ij.
+    denominator = _cubes(dist)
+    denominator *= column(
+        [8.0 * math.pi * consts.eps0 * consts.m_e * q.omega_z for q in site_dq]
+    )
+    xi = np.divide(consts.e**2, denominator, out=np.zeros((n, n)), where=pairs)
+    del denominator
+    epsilon2 = column([q.epsilon**2 for q in site_dq])
+    jz = (consts.g / 2.0) ** 2 * xi
+    jz *= epsilon2
+    jxy = (consts.g / 4.0) ** 2 * xi
+    jxy *= epsilon2
+    jxy *= column([q.omega_z**4 for q in site_dq])
+    jxy /= column([q.omega_a**2 * q.omega_c_tilde**2 for q in site_dq])
+
+    # Geometric mean of the two sites' values, in place.
+    for row in (jz, jxy, xi):
+        row *= row.T.copy()
+        np.sqrt(row, out=row)
 
     return CouplingMatrix(
         jz=jz,

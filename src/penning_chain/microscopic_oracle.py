@@ -33,8 +33,6 @@ from .spin_chain import (
     SIGMA_PLUS,
     SIGMA_Z,
     DimensionOverflow,
-    site_operator,
-    two_site_operator,
 )
 from .trap_model import AnomalyMode, ComplexFrequency, DerivedQuantities
 
@@ -398,14 +396,16 @@ def detuned_pair_hamiltonian(
 
     Basis order |dd>, |du>, |ud>, |uu>, site 1 most significant.
     """
-    h = 0.5 * omega1 * site_operator(SIGMA_Z, 0, 2)
-    h += 0.5 * omega2 * site_operator(SIGMA_Z, 1, 2)
-    h += 2.0 * jxy * (
-        two_site_operator(SIGMA_PLUS, 0, SIGMA_MINUS, 1, 2)
-        + two_site_operator(SIGMA_MINUS, 0, SIGMA_PLUS, 1, 2)
+    a, b = 0.5 * omega1, 0.5 * omega2
+    return np.array(
+        [
+            [-a - b - 2.0 * jz, 0.0, 0.0, 0.0],
+            [0.0, -a + b + 2.0 * jz, 2.0 * jxy, 0.0],
+            [0.0, 2.0 * jxy, a - b + 2.0 * jz, 0.0],
+            [0.0, 0.0, 0.0, a + b - 2.0 * jz],
+        ],
+        dtype=complex,
     )
-    h -= 2.0 * jz * two_site_operator(SIGMA_Z, 0, SIGMA_Z, 1, 2)
-    return h
 
 
 def _propagator(h: np.ndarray, t: float) -> np.ndarray:

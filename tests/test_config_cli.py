@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import case_a_params
 from penning_chain.cli import main
 from penning_chain.config import ConfigError, GridTooLarge, RunConfig
-from penning_chain.couplings import Orientation
-from penning_chain.trap_model import AnomalyMode
+from penning_chain.couplings import Orientation, coupling_matrix, uniform_chain
+from penning_chain.spin_chain import build_effective_hamiltonian, transfer_fidelity_curve
+from penning_chain.trap_model import AnomalyMode, derive_quantities
 
 BASE_INI = """
 [trap]
@@ -214,6 +220,47 @@ class TestTransferCommand:
     def test_bad_theta_is_input_error(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_INI + "\n[transfer]\ntheta = north\n")
         assert main(["transfer", "--config", path]) == 1
+
+    def test_removed_subspace_key_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_INI + "\n[transfer]\nsubspace = true\n")
+        assert main(["transfer", "--config", path]) == 1
+        assert "unknown key 'subspace'" in capsys.readouterr().err
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n_sites=st.integers(2, 6),
+    orientation=st.sampled_from(list(Orientation)),
+    gradient=st.floats(300.0, 1800.0),
+    spacing=st.floats(8e-6, 20e-6),
+    theta=st.one_of(st.none(), st.floats(0.0, math.pi)),
+)
+def test_transfer_curve_matches_dense_path(tmp_path_factory, n_sites, orientation, gradient,
+                                           spacing, theta):
+    ini = (
+        f"[trap]\nf_c = 8e9\nf_z = 490e6\ngradient = {gradient!r}\n"
+        f"[chain]\nn_sites = {n_sites}\nspacing = {spacing!r}\n"
+        f"orientation = {orientation.value}\n"
+        f"[transfer]\ntheta = {'average' if theta is None else repr(theta)}\nn_points = 64\n"
+    )
+    path = write_config(tmp_path_factory.mktemp("transfer"), ini)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["transfer", "--config", path, "--format", "json"]) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["meta"]["path"] == "subspace"
+
+    dq = derive_quantities(case_a_params(gradient=gradient))
+    cm = coupling_matrix(dq, uniform_chain(n_sites, spacing, orientation))
+    t = np.array(payload["t"])
+    dense = transfer_fidelity_curve(
+        build_effective_hamiltonian(cm, dq.omega_s), theta, 0.0, t,
+        bloch_average=theta is None,
+    )
+    # rounding of phases ~ eps * (N omega_s / 2) * t on both paths
+    atol = 16.0 * np.finfo(float).eps * 0.5 * n_sites * dq.omega_s * t[-1]
+    assert np.allclose(payload["fidelity"], dense.fidelity, rtol=0.0, atol=atol)
+    assert np.allclose(payload["fidelity_raw"], dense.fidelity_raw, rtol=0.0, atol=atol)
 
 
 class TestFidelityCommand:

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import penning_chain.couplings as couplings
 from conftest import TWO_PI, case_a_params, field_for_cyclotron
 from penning_chain.couplings import (
     ChainGeometry,
@@ -17,7 +20,13 @@ from penning_chain.couplings import (
     uniform_chain,
     write_csv,
 )
-from penning_chain.trap_model import AnomalyMode, TrapParams, derive_quantities
+from penning_chain.trap_model import (
+    AnomalyMode,
+    TrapParams,
+    coulomb_scale,
+    derive_quantities,
+    validate_regime,
+)
 
 
 class TestPairStrengths:
@@ -171,3 +180,70 @@ class TestCouplingMatrix:
         fields = body[1].split(",")
         assert float(fields[3]) == pytest.approx(cm.jz[0, 1], rel=1e-11)
         assert float(fields[4]) == pytest.approx(cm.jxy[0, 1], rel=1e-11)
+
+
+def pairwise_reference(site_dq, geom, nearest_neighbor_only):
+    """(xi, jz, jxy) pair by pair from the scalar formulas, with the
+    geometric mean of the two sites' values for unequal traps."""
+    n = geom.n_sites
+    dist = geom.distances()
+    out = np.zeros((3, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if nearest_neighbor_only and j != i + 1:
+                continue
+            d = dist[i, j]
+            values_i = (coulomb_scale(site_dq[i], d), *pair_coupling_strengths(site_dq[i], d))
+            values_j = (coulomb_scale(site_dq[j], d), *pair_coupling_strengths(site_dq[j], d))
+            for k, (a, b) in enumerate(zip(values_i, values_j)):
+                out[k, i, j] = out[k, j, i] = math.sqrt(a * b)
+    return out
+
+
+traps = st.builds(
+    lambda f_c, f_z, gradient: derive_quantities(
+        TrapParams(B0=field_for_cyclotron(f_c), b=gradient, omega_z_in=TWO_PI * f_z)
+    ),
+    st.floats(7e9, 12e9),
+    st.floats(300e6, 650e6),
+    st.floats(0.0, 2000.0),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    gaps=st.lists(st.floats(1e-6, 5e-5), min_size=1, max_size=24),
+    start=st.floats(-1e-4, 1e-4),
+    pool=st.lists(traps, min_size=1, max_size=3),
+    per_site=st.booleans(),
+    nearest=st.booleans(),
+    data=st.data(),
+)
+def test_array_couplings_equal_pairwise_formulas_bitwise(gaps, start, pool, per_site, nearest, data):
+    geom = ChainGeometry(Orientation.AXIAL_Z, tuple(np.cumsum([start, *gaps]).tolist()))
+    n = geom.n_sites
+    if per_site:
+        site_dq = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        arg = site_dq
+    else:
+        site_dq, arg = [pool[0]] * n, pool[0]
+    cm = coupling_matrix(arg, geom, nearest_neighbor_only=nearest, force=True)
+    ref = pairwise_reference(site_dq, geom, nearest)
+    for got, want in zip((cm.xi, cm.jz, cm.jxy), ref):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_each_distinct_trap_validated_once(case_a, case_b, monkeypatch):
+    calls = []
+
+    def counting(dq, **kwargs):
+        calls.append(dq)
+        return validate_regime(dq, **kwargs)
+
+    monkeypatch.setattr(couplings, "validate_regime", counting)
+    coupling_matrix([case_a, case_b] * 3, uniform_chain(6, 10e-6), force=True)
+    assert calls == [case_a, case_b]
+    calls.clear()
+    with pytest.raises(RegimeError, match="^validity conditions failed: magnetron_occupation$"):
+        coupling_matrix(case_a, uniform_chain(40, 10e-6), l_bar=1e4)
+    assert calls == [case_a]

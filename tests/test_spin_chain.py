@@ -3,9 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from penning_chain.couplings import Orientation, coupling_matrix, uniform_chain
+from penning_chain.couplings import (
+    CouplingMatrix,
+    Orientation,
+    coupling_matrix,
+    uniform_chain,
+)
 from penning_chain.spin_chain import (
     DimensionOverflow,
     MAX_SITES,
@@ -19,6 +26,64 @@ from penning_chain.spin_chain import (
     transfer_fidelity_curve,
     transfer_fidelity_curve_subspace,
 )
+from penning_chain.trap_model import AnomalyMode
+
+
+# Kronecker-product reference for the chain Hamiltonian, independent of the
+# bit arithmetic in ``build_effective_hamiltonian``.
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+_SZ = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+def _embed(ops: dict, n_sites: int) -> np.ndarray:
+    """Tensor product with ``ops[k]`` on site k and the identity elsewhere."""
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(n_sites):
+        out = np.kron(out, ops.get(k, np.eye(2)))
+    return out
+
+
+def kron_hamiltonian(cm, omega_s, orientation):
+    n = cm.n_sites
+    prefactor = -1.0 if orientation is Orientation.AXIAL_Z else 0.5
+    h = sum(0.5 * omega_s * _embed({i: _SZ}, n) for i in range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            block = 2.0 * cm.jz[i, j] * _embed({i: _SZ, j: _SZ}, n)
+            block -= cm.jxy[i, j] * _embed({i: _SX, j: _SX}, n)
+            block -= cm.jxy[i, j] * _embed({i: _SY, j: _SY}, n)
+            h = h + prefactor * block
+    return h
+
+
+@st.composite
+def random_couplings(draw):
+    """Symmetric random Jz/Jxy on 2..7 sites, some pairs exactly zero."""
+    n = draw(st.integers(2, 7))
+    n_pairs = n * (n - 1) // 2
+    value = st.one_of(st.just(0.0), st.floats(-1e5, 1e5, allow_nan=False))
+    mats = []
+    for _ in range(2):
+        m = np.zeros((n, n))
+        m[np.triu_indices(n, 1)] = draw(st.lists(value, min_size=n_pairs, max_size=n_pairs))
+        mats.append(m + m.T)
+    orientation = draw(st.sampled_from(list(Orientation)))
+    cm = CouplingMatrix(
+        jz=mats[0], jxy=mats[1], xi=np.zeros((n, n)), distances=np.zeros((n, n)),
+        orientation=orientation, anomaly_mode=AnomalyMode.EXACT_G,
+    )
+    return cm, draw(st.floats(1e9, 1e12))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(random_couplings())
+def test_bit_built_hamiltonian_matches_kronecker_reference(case):
+    cm, omega_s = case
+    h = build_effective_hamiltonian(cm, omega_s)
+    ref = kron_hamiltonian(cm, omega_s, cm.orientation)
+    assert h.matrix.dtype == np.float64
+    assert np.max(np.abs(h.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.fixture(scope="module")

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018, TWO_PI
 from .couplings import pair_coupling_strengths
 from .fidelity_model import FidelityReport, ThermalOccupations, total_fidelity
 from .trap_model import AnomalyMode, DerivedQuantities, TrapParams, derive_quantities
-
-TWO_PI = 6.283185307179586
 
 BATH_TEMPERATURE_K = 0.080
 TARGET_FIDELITY = {"A": 0.99, "B": 0.999}
@@ -63,10 +61,9 @@ REFERENCE_ROWS: tuple[BenchmarkRow, ...] = (
 def row_trap_params(
     row: BenchmarkRow,
     anomaly_mode: AnomalyMode = AnomalyMode.APPROX_1E3,
-    consts: PhysicalConstants = CODATA2018,
 ) -> TrapParams:
     """Trap parameters reproducing the row's cyclotron and axial frequencies."""
-    b0 = TWO_PI * row.f_c * consts.m_e / consts.e
+    b0 = TWO_PI * row.f_c * CODATA2018.m_e / CODATA2018.e
     return TrapParams(
         B0=b0,
         b=row.gradient,
@@ -78,7 +75,6 @@ def row_trap_params(
 def row_quantities(
     row: BenchmarkRow,
     anomaly_mode: AnomalyMode = AnomalyMode.APPROX_1E3,
-    consts: PhysicalConstants = CODATA2018,
 ) -> DerivedQuantities:
     """Derived frequencies for a row.
 
@@ -86,17 +82,16 @@ def row_quantities(
     factor of three of the cyclotron frequency, which the hierarchy check
     would reject outright.
     """
-    return derive_quantities(row_trap_params(row, anomaly_mode, consts), consts, strict=False)
+    return derive_quantities(row_trap_params(row, anomaly_mode), strict=False)
 
 
 def row_couplings(
     row: BenchmarkRow,
     anomaly_mode: AnomalyMode = AnomalyMode.APPROX_1E3,
-    consts: PhysicalConstants = CODATA2018,
 ) -> tuple[float, float]:
     """(Ising, exchange) coupling strengths in rad/s at the row's spacing."""
-    dq = row_quantities(row, anomaly_mode, consts)
-    return pair_coupling_strengths(dq, row.spacing, consts)
+    dq = row_quantities(row, anomaly_mode)
+    return pair_coupling_strengths(dq, row.spacing)
 
 
 def coupling_ratio(
@@ -104,10 +99,9 @@ def coupling_ratio(
     anomaly_mode: AnomalyMode = AnomalyMode.APPROX_1E3,
     *,
     cyclic_reading: bool = False,
-    consts: PhysicalConstants = CODATA2018,
 ) -> float:
     """Model exchange coupling over the quoted value, under either reading."""
-    _, jxy = row_couplings(row, anomaly_mode, consts)
+    _, jxy = row_couplings(row, anomaly_mode)
     quoted = row.jxy_printed_cyclic_rad_s if cyclic_reading else row.jxy_printed_rad_s
     return jxy / quoted
 
@@ -115,22 +109,18 @@ def coupling_ratio(
 def row_occupations(
     row: BenchmarkRow,
     anomaly_mode: AnomalyMode = AnomalyMode.APPROX_1E3,
-    temperature: float = BATH_TEMPERATURE_K,
-    consts: PhysicalConstants = CODATA2018,
 ) -> ThermalOccupations:
     """Axial and cyclotron occupations at the bath temperature, quoted magnetron."""
-    dq = row_quantities(row, anomaly_mode, consts)
-    return ThermalOccupations.from_temperature(dq, temperature, l_bar=row.l_bar, consts=consts)
+    dq = row_quantities(row, anomaly_mode)
+    return ThermalOccupations.from_temperature(dq, BATH_TEMPERATURE_K, l_bar=row.l_bar)
 
 
 def row_error_budget(
     row: BenchmarkRow,
     anomaly_mode: AnomalyMode = AnomalyMode.EXACT_G,
-    temperature: float = BATH_TEMPERATURE_K,
-    consts: PhysicalConstants = CODATA2018,
 ) -> FidelityReport:
     """Full two-electron fidelity budget for a row at the bath temperature."""
-    dq = row_quantities(row, anomaly_mode, consts)
-    occ = row_occupations(row, anomaly_mode, temperature, consts)
-    _, jxy = pair_coupling_strengths(dq, row.spacing, consts)
+    dq = row_quantities(row, anomaly_mode)
+    occ = row_occupations(row, anomaly_mode)
+    _, jxy = pair_coupling_strengths(dq, row.spacing)
     return total_fidelity(dq, occ, jxy, n_sites=2)

@@ -31,14 +31,8 @@ from .benchmarks import (
     row_couplings,
     row_error_budget,
 )
-from .config import (
-    TWO_PI,
-    MAX_SWEEP_POINTS,
-    ConfigError,
-    GridTooLarge,
-    RunConfig,
-)
-from .constants import CODATA2018, CONSTANTS_VERSION
+from .config import MAX_SWEEP_POINTS, ConfigError, GridTooLarge, RunConfig
+from .constants import CODATA2018, CONSTANTS_VERSION, TWO_PI
 from .couplings import (
     Orientation,
     RegimeError,

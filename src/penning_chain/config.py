@@ -47,12 +47,10 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018, TWO_PI
 from .couplings import ChainGeometry, Orientation, uniform_chain
 from .fidelity_model import ThermalOccupations
 from .trap_model import AnomalyMode, DerivedQuantities, TrapParams
-
-TWO_PI = 6.283185307179586
 
 MAX_SWEEP_POINTS = 1_000_000
 
@@ -151,16 +149,14 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"orientation must be 'z' or 'x', got {value!r}") from None
 
-    def trap_params(
-        self, mode: AnomalyMode, consts: PhysicalConstants = CODATA2018
-    ) -> TrapParams:
+    def trap_params(self, mode: AnomalyMode) -> TrapParams:
         has_b0, has_fc = self.has("trap", "b0"), self.has("trap", "f_c")
         if has_b0 == has_fc:
             raise ConfigError("specify exactly one of b0 or f_c in [trap]")
         b0 = (
             self.get("trap", "b0")
             if has_b0
-            else TWO_PI * self.get("trap", "f_c") * consts.m_e / consts.e
+            else TWO_PI * self.get("trap", "f_c") * CODATA2018.m_e / CODATA2018.e
         )
         gradient = self.get("trap", "gradient", default=0.0)
 
@@ -198,9 +194,7 @@ class RunConfig:
         spacing = self.get("chain", "spacing")
         return uniform_chain(n_sites, spacing, orientation)
 
-    def occupations(
-        self, dq: DerivedQuantities, consts: PhysicalConstants = CODATA2018
-    ) -> ThermalOccupations:
+    def occupations(self, dq: DerivedQuantities) -> ThermalOccupations:
         has_temp = self.has("thermal", "temperature")
         has_explicit = self.has("thermal", "k_bar") or self.has("thermal", "n_bar")
         if has_temp and has_explicit:
@@ -210,7 +204,7 @@ class RunConfig:
         l_bar = self.get("thermal", "l_bar", default=0.0)
         if has_temp:
             return ThermalOccupations.from_temperature(
-                dq, self.get("thermal", "temperature"), l_bar=l_bar, consts=consts
+                dq, self.get("thermal", "temperature"), l_bar=l_bar
             )
         return ThermalOccupations(
             k_bar=self.get("thermal", "k_bar", default=0.0),

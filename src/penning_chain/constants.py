@@ -1,13 +1,14 @@
 """Physical constants used throughout the package (SI units).
 
-Values are CODATA-2018 at 10 significant digits.  The defaults can be
-overridden by constructing a custom ``PhysicalConstants`` for sensitivity
-studies; everything downstream takes the constants as an argument.
+Values are CODATA-2018 at 10 significant digits.  Every computation reads
+the one instance ``CODATA2018``.
 """
 
 from dataclasses import dataclass
 
 CONSTANTS_VERSION = "CODATA-2018"
+
+TWO_PI = 6.283185307179586
 
 
 @dataclass(frozen=True)
@@ -24,13 +25,6 @@ class PhysicalConstants:
     eps0: float = 8.854187813e-12  # vacuum permittivity, F/m
     g: float = 2.002319304         # |g| of the electron, dimensionless
     k_B: float = 1.380649e-23      # Boltzmann constant, J/K
-
-    def __post_init__(self) -> None:
-        for name in ("e", "m_e", "hbar", "eps0", "g", "k_B"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"constant {name!r} must be strictly positive")
-        if not 2.0 <= self.g <= 2.01:
-            raise ValueError(f"g = {self.g} outside the electron range [2.0, 2.01]")
 
 
 CODATA2018 = PhysicalConstants()

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .constants import CODATA2018, CONSTANTS_VERSION, PhysicalConstants
+from .constants import CODATA2018, CONSTANTS_VERSION
 from .trap_model import (
     AnomalyMode,
     DerivedQuantities,
@@ -31,6 +31,15 @@ class Orientation(Enum):
 
     AXIAL_Z = "z"       # traps stacked along the field
     TRANSVERSE_X = "x"  # traps side by side, orthogonal to the field
+
+    @property
+    def block_sign(self) -> float:
+        """Weight of the dipolar coupling block: -1 stacked, +1/2 side by side.
+
+        Every place the orientation enters a Hamiltonian or an extracted
+        coupling reads this factor.
+        """
+        return -1.0 if self is Orientation.AXIAL_Z else 0.5
 
 
 class RegimeError(ValueError):
@@ -96,13 +105,10 @@ class CouplingMatrix:
         return self.jz.shape[0]
 
 
-def pair_coupling_strengths(
-    dq: DerivedQuantities,
-    d: float,
-    consts: PhysicalConstants = CODATA2018,
-) -> tuple[float, float]:
+def pair_coupling_strengths(dq: DerivedQuantities, d: float) -> tuple[float, float]:
     """(Ising, flip-flop) coupling of one trap pair at distance ``d``."""
-    xi = coulomb_scale(dq, d, consts)
+    consts = CODATA2018
+    xi = coulomb_scale(dq, d)
     jz = (consts.g / 2.0) ** 2 * xi * dq.epsilon**2
     jxy = (
         (consts.g / 4.0) ** 2
@@ -128,7 +134,6 @@ def _cubes(d: np.ndarray) -> np.ndarray:
 def coupling_matrix(
     dq: DerivedQuantities | list[DerivedQuantities] | tuple[DerivedQuantities, ...],
     geom: ChainGeometry,
-    consts: PhysicalConstants = CODATA2018,
     *,
     l_bar: float = 0.0,
     nearest_neighbor_only: bool = False,
@@ -146,6 +151,7 @@ def coupling_matrix(
     For unequal sites the pair value is the geometric mean of the two
     single-site values; this is the one place that convention lives.
     """
+    consts = CODATA2018
     n = geom.n_sites
     if isinstance(dq, DerivedQuantities):
         site_dq = [dq] * n
@@ -162,7 +168,7 @@ def coupling_matrix(
     d_min = min(geom.distance(i, i + 1) for i in range(n - 1))
     failing: list[str] = []
     for q in dict.fromkeys(site_dq):
-        report = validate_regime(q, xi=coulomb_scale(q, d_min, consts), l_bar=l_bar)
+        report = validate_regime(q, xi=coulomb_scale(q, d_min), l_bar=l_bar)
         failing.extend(report.failing())
     if failing and not force:
         raise RegimeError(

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .trap_model import DerivedQuantities
 
 TAIL_TARGET = 1e-10
@@ -55,7 +55,6 @@ class ThermalOccupations:
         dq: DerivedQuantities,
         temperature: float,
         l_bar: float = 0.0,
-        consts: PhysicalConstants = CODATA2018,
     ) -> "ThermalOccupations":
         """Axial and cyclotron modes thermalized at ``temperature``.
 
@@ -64,15 +63,13 @@ class ThermalOccupations:
         supplied explicitly.
         """
         return cls(
-            k_bar=occupation_from_temperature(dq.omega_z, temperature, consts),
-            n_bar=occupation_from_temperature(dq.omega_c, temperature, consts),
+            k_bar=occupation_from_temperature(dq.omega_z, temperature),
+            n_bar=occupation_from_temperature(dq.omega_c, temperature),
             l_bar=l_bar,
         )
 
 
-def occupation_from_temperature(
-    omega: float, temperature: float, consts: PhysicalConstants = CODATA2018
-) -> float:
+def occupation_from_temperature(omega: float, temperature: float) -> float:
     """Mean Fock number 1/(exp(hbar*omega/(k_B*T)) - 1) of a thermal mode."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
@@ -80,7 +77,7 @@ def occupation_from_temperature(
         raise ValueError("temperature must be >= 0")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(consts.hbar * omega / (consts.k_B * temperature))
+    return 1.0 / math.expm1(CODATA2018.hbar * omega / (CODATA2018.k_B * temperature))
 
 
 def thermal_prob(m_bar: float, m) -> float | np.ndarray:
@@ -109,13 +106,11 @@ def difference_prob(delta, m_bar: float) -> float | np.ndarray:
     return float(p) if d_arr.ndim == 0 else p
 
 
-def thermal_cutoff(m_bar: float, tail: float = TAIL_TARGET) -> int:
-    """Fock cutoff keeping the neglected thermal weight below ``tail``."""
+def thermal_cutoff(m_bar: float) -> int:
+    """Fock cutoff keeping the neglected thermal weight below ``TAIL_TARGET``."""
     if m_bar < 0.0:
         raise ValueError("m_bar must be >= 0")
-    if not 0.0 < tail < 1.0:
-        raise ValueError("tail must lie in (0, 1)")
-    return math.ceil(m_bar * math.log(1.0 / tail)) + 10
+    return math.ceil(m_bar * math.log(1.0 / TAIL_TARGET)) + 10
 
 
 def fd(zeta) -> float | np.ndarray:
@@ -223,9 +218,7 @@ def error_residual(
     jxy: float,
     *,
     method: str = "difference",
-    tail: float = TAIL_TARGET,
     max_terms: int = DEFAULT_MAX_TERMS,
-    cutoffs: tuple[int, int] | None = None,
 ) -> ResidualError:
     """Transfer error from thermally distributed spin-frequency detunings.
 
@@ -240,12 +233,12 @@ def error_residual(
     if method not in ("difference", "direct"):
         raise ValueError("method must be 'difference' or 'direct'")
 
-    if cutoffs is not None:
-        mn, ml = cutoffs
-    else:
-        mn = thermal_cutoff(occ.n_bar, tail)
-        ml = thermal_cutoff(occ.l_bar, tail)
-        mn, ml = _clamp_cutoffs(mn, ml, 4 if method == "direct" else 1, max_terms)
+    mn, ml = _clamp_cutoffs(
+        thermal_cutoff(occ.n_bar),
+        thermal_cutoff(occ.l_bar),
+        4 if method == "direct" else 1,
+        max_terms,
+    )
 
     a, b = _shift_coefficients(dq)
     scale = dq.epsilon**2 * dq.omega_z / (4.0 * jxy)
@@ -344,8 +337,6 @@ def error_canonical(
     occ: ThermalOccupations,
     n_sites: int,
     averaging: BlochAveraging = BlochAveraging.CLOSED_FORM,
-    *,
-    grid: tuple[int, int] = (32, 64),
 ) -> float:
     """Bloch-averaged dressing error E_S of a full excitation transfer.
 
@@ -358,7 +349,7 @@ def error_canonical(
     if averaging is BlochAveraging.CLOSED_FORM:
         return _error_canonical_closed(dq, occ, n_sites)
 
-    n_theta, n_phi = grid
+    n_theta, n_phi = 32, 64
     u, w = np.polynomial.legendre.leggauss(n_theta)
     theta = np.arccos(u)
     phis = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
@@ -459,9 +450,6 @@ def total_fidelity(
     occ: ThermalOccupations,
     jxy: float,
     n_sites: int = 2,
-    *,
-    tail: float = TAIL_TARGET,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> FidelityReport:
     """Combine the residual and dressing errors into F = 1 - E_r - eps^2 E_S.
 
@@ -471,7 +459,7 @@ def total_fidelity(
     """
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
-    pair = error_residual(dq, occ, jxy, tail=tail, max_terms=max_terms)
+    pair = error_residual(dq, occ, jxy)
     e_r = pair.value if n_sites == 2 else (n_sites - 1) * pair.value
     e_s = error_canonical(dq, occ, n_sites)
     e_s_scaled = dq.epsilon**2 * e_s

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 from .couplings import Orientation, pair_coupling_strengths
 from .spin_chain import (
     IDENTITY_2,
@@ -85,13 +85,13 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MicroscopicSystem:
-    """Assembled two-electron Hamiltonian with its bookkeeping operators.
+    """Assembled two-electron Hamiltonian with its excitation bookkeeping.
 
-    Single-electron operators act on the spin (x) cyclotron (x) axial product
-    space, in that tensor order with the (down, up) spin basis; ``embed``
-    lifts them onto either electron of the pair space.  The Hamiltonian is
-    in rad/s.  ``n_exc_diag`` is the diagonal of the conserved excitation
-    counter (cyclotron quanta plus up spins).
+    Each electron's space is the spin (x) cyclotron (x) axial product, in
+    that tensor order with the (down, up) spin basis, and electron 0 is the
+    more significant factor of the pair space.  The Hamiltonian is in rad/s.
+    ``n_exc_diag`` is the diagonal of the conserved excitation counter
+    (cyclotron quanta plus up spins).
     """
 
     hamiltonian: np.ndarray
@@ -100,18 +100,6 @@ class MicroscopicSystem:
     orientation: Orientation
     quantities: tuple[DerivedQuantities, DerivedQuantities]
     xi: float
-    spin_z: np.ndarray
-    spin_plus: np.ndarray
-    lower_cyclotron: np.ndarray
-    lower_axial: np.ndarray
-
-    def embed(self, op_single: np.ndarray, electron: int) -> np.ndarray:
-        eye = np.eye(self.trunc.single_dimension, dtype=complex)
-        if electron == 0:
-            return np.kron(op_single, eye)
-        if electron == 1:
-            return np.kron(eye, op_single)
-        raise ValueError("electron must be 0 or 1")
 
     def spin_ground_index(self, spin1: int, spin2: int) -> int:
         """Pair-space index of |spin1, spin2> with all motion in the ground state."""
@@ -128,7 +116,6 @@ def build_microscopic(
     xi: float,
     orientation: Orientation,
     trunc: FockTruncation,
-    consts: PhysicalConstants = CODATA2018,
 ) -> MicroscopicSystem:
     """Assemble the untransformed two-electron Hamiltonian in truncated Fock space.
 
@@ -158,7 +145,7 @@ def build_microscopic(
     xz = az + az.conj().T
 
     def single_particle(q: DerivedQuantities) -> np.ndarray:
-        drive = 0.25 * consts.g * q.epsilon * q.omega_z
+        drive = 0.25 * CODATA2018.g * q.epsilon * q.omega_z
         h = q.omega_c * num_c + q.omega_z * num_k + 0.5 * q.omega_s * sz
         h = h + drive * (xz @ sz)
         h = h - drive * math.sqrt(q.omega_z / q.omega_c_tilde) * (sp @ ac + sm @ ac.conj().T)
@@ -173,10 +160,8 @@ def build_microscopic(
         (dqs[0].omega_z / dqs[0].omega_c_tilde) * (dqs[1].omega_z / dqs[1].omega_c_tilde)
     )
     cyc_exchange = np.kron(ac, ac.conj().T) + np.kron(ac.conj().T, ac)
-    if orientation is Orientation.AXIAL_Z:
-        h += -2.0 * xi * np.kron(xz, xz) + 2.0 * xi * cyc_weight * cyc_exchange
-    else:
-        h += xi * np.kron(xz, xz) - xi * cyc_weight * cyc_exchange
+    sign = orientation.block_sign
+    h += 2.0 * sign * xi * np.kron(xz, xz) - 2.0 * sign * xi * cyc_weight * cyc_exchange
 
     scale = np.abs(h).max()
     if scale > 0 and np.abs(h - h.conj().T).max() > HERMITICITY_TOL * scale:
@@ -193,10 +178,6 @@ def build_microscopic(
         orientation=orientation,
         quantities=dqs,
         xi=xi,
-        spin_z=sz,
-        spin_plus=sp,
-        lower_cyclotron=ac,
-        lower_axial=az,
     )
 
 
@@ -204,7 +185,6 @@ def synthetic_quantities(
     epsilon: float,
     freq_ratio: float,
     anomaly_mode: AnomalyMode = AnomalyMode.EXACT_G,
-    consts: PhysicalConstants = CODATA2018,
 ) -> DerivedQuantities:
     """Derived quantities in scaled units (axial frequency = 1 rad/s).
 
@@ -218,7 +198,7 @@ def synthetic_quantities(
     omega_c = freq_ratio * omega_z
     if omega_c**2 <= 2.0 * omega_z**2:
         raise ComplexFrequency("freq_ratio must exceed sqrt(2)")
-    omega_s = 0.5 * consts.g * omega_c
+    omega_s = 0.5 * CODATA2018.g * omega_c
     if anomaly_mode is AnomalyMode.EXACT_G:
         omega_a = omega_s - omega_c
     else:
@@ -236,18 +216,20 @@ def synthetic_quantities(
     )
 
 
-def predicted_couplings(
-    dq: DerivedQuantities, xi: float, consts: PhysicalConstants = CODATA2018
-) -> tuple[float, float]:
+def predicted_couplings(dq: DerivedQuantities, xi: float) -> tuple[float, float]:
     """Analytic (Ising, flip-flop) couplings for a given Coulomb rate.
 
     Inverts the Coulomb rate to an equivalent spacing and reuses the
     production pair formula, so prediction and model share one code path.
+    The values carry no orientation factor: they are the pair strengths J,
+    and the extractors divide ``Orientation.block_sign`` out of what they
+    measure.
     """
     if xi <= 0.0:
         return 0.0, 0.0
+    consts = CODATA2018
     d_cubed = consts.e**2 / (8.0 * math.pi * consts.eps0 * consts.m_e * dq.omega_z * xi)
-    return pair_coupling_strengths(dq, d_cubed ** (1.0 / 3.0), consts)
+    return pair_coupling_strengths(dq, d_cubed ** (1.0 / 3.0))
 
 
 def _sector_eigensystem(sys: MicroscopicSystem, n_exc: int):
@@ -264,8 +246,8 @@ def _sector_position(sector: np.ndarray, full_index: int) -> int:
     return int(pos)
 
 
-def _mean_predicted_jxy(sys: MicroscopicSystem, consts: PhysicalConstants) -> float:
-    preds = [predicted_couplings(q, sys.xi, consts)[1] for q in sys.quantities]
+def _mean_predicted_jxy(sys: MicroscopicSystem) -> float:
+    preds = [predicted_couplings(q, sys.xi)[1] for q in sys.quantities]
     return math.sqrt(preds[0] * preds[1]) if all(p > 0 for p in preds) else 0.0
 
 
@@ -273,8 +255,6 @@ def extract_effective_jxy(
     sys: MicroscopicSystem,
     *,
     method: str = "fit",
-    n_points: int = FIT_POINTS,
-    consts: PhysicalConstants = CODATA2018,
 ) -> float:
     """Measured flip-flop coupling (rad/s) from the one-excitation dynamics.
 
@@ -283,11 +263,14 @@ def extract_effective_jxy(
     predicted oscillation periods, refine it quadratically, and convert the
     peak time to a coupling (magnitude only).  ``method="splitting"``: a
     quarter of the eigenvalue gap between the dressed symmetric and
-    antisymmetric one-excitation states (signed: positive when the
-    symmetric combination lies higher).
+    antisymmetric one-excitation states (signed; for the stacked orientation
+    it is positive when the symmetric combination lies higher).  Both divide
+    the orientation's ``block_sign`` out, so they estimate the pair strength
+    J that ``predicted_couplings`` returns.
     """
     if method not in ("fit", "splitting"):
         raise ValueError("method must be 'fit' or 'splitting'")
+    sign = sys.orientation.block_sign
     sector, energies, vectors = _sector_eigensystem(sys, 1)
     init = _sector_position(sector, sys.spin_ground_index(1, 0))
     targ = _sector_position(sector, sys.spin_ground_index(0, 1))
@@ -300,15 +283,16 @@ def extract_effective_jxy(
         if k_sym == k_anti:
             order = np.argsort(anti)[::-1]
             k_anti = int(order[1]) if len(order) > 1 else k_sym
-        return float(energies[k_sym] - energies[k_anti]) / 4.0
+        return float(energies[k_sym] - energies[k_anti]) / (-4.0 * sign)
 
-    jxy_pred = _mean_predicted_jxy(sys, consts)
+    jxy_pred = _mean_predicted_jxy(sys)
     if jxy_pred > 0.0:
-        t_span = math.pi / jxy_pred  # two periods of the predicted oscillation
+        # two periods of the predicted oscillation, at rate |block_sign| * J
+        t_span = math.pi / (abs(sign) * jxy_pred)
     else:
         base = sys.xi if sys.xi > 0 else min(q.omega_z for q in sys.quantities)
         t_span = 2.0 * math.pi / base
-    t = np.linspace(0.0, t_span, n_points)
+    t = np.linspace(0.0, t_span, FIT_POINTS)
     amp = (vectors[targ, :] * vectors[init, :].conj()) @ np.exp(
         -1j * np.outer(energies, t)
     )
@@ -343,18 +327,16 @@ def extract_effective_jxy(
     denom = y1 - 2.0 * y2 + y3
     shift = 0.5 * (y1 - y3) / denom if denom != 0.0 else 0.0
     t_peak = t[idx] + shift * (t[1] - t[0])
-    return float(math.pi / (4.0 * t_peak))
+    return float(math.pi / (4.0 * abs(sign) * t_peak))
 
 
-def extract_effective_jz(
-    sys: MicroscopicSystem, *, overlap_threshold: float = OVERLAP_THRESHOLD
-) -> float:
+def extract_effective_jz(sys: MicroscopicSystem) -> float:
     """Measured Ising coupling (rad/s) from dressed spin-configuration energies.
 
     Forms E(up,up) + E(down,down) - E(up,down) - E(down,up) over the dressed
     eigenstates connected to the spin basis states with motional ground
-    state; that combination isolates the zz term and equals -8 Jz for the
-    stacked orientation and +4 Jz for the side-by-side one.  The two
+    state; that combination isolates the zz term and equals
+    8 * block_sign * Jz: -8 Jz stacked and +4 Jz side by side.  The two
     single-excitation energies enter through their sum, which stays well
     defined when the pair hybridizes.
     """
@@ -362,18 +344,18 @@ def extract_effective_jz(
     pos_dd = _sector_position(sector0, sys.spin_ground_index(0, 0))
     w0 = np.abs(v0[pos_dd, :]) ** 2
     k0 = int(np.argmax(w0))
-    if w0[k0] < overlap_threshold:
+    if w0[k0] < OVERLAP_THRESHOLD:
         raise StateTrackingFailure(
-            f"down-down dressed overlap {w0[k0]:.4f} below {overlap_threshold}"
+            f"down-down dressed overlap {w0[k0]:.4f} below {OVERLAP_THRESHOLD}"
         )
 
     sector2, e2, v2 = _sector_eigensystem(sys, 2)
     pos_uu = _sector_position(sector2, sys.spin_ground_index(1, 1))
     w2 = np.abs(v2[pos_uu, :]) ** 2
     k2 = int(np.argmax(w2))
-    if w2[k2] < overlap_threshold:
+    if w2[k2] < OVERLAP_THRESHOLD:
         raise StateTrackingFailure(
-            f"up-up dressed overlap {w2[k2]:.4f} below {overlap_threshold}"
+            f"up-up dressed overlap {w2[k2]:.4f} below {OVERLAP_THRESHOLD}"
         )
 
     sector1, e1, v1 = _sector_eigensystem(sys, 1)
@@ -384,9 +366,7 @@ def extract_effective_jz(
     pair_sum = float(e1[order[0]] + e1[order[1]])
 
     combo = float(e2[k2] + e0[k0]) - pair_sum
-    if sys.orientation is Orientation.AXIAL_Z:
-        return combo / -8.0
-    return combo / 4.0
+    return combo / (8.0 * sys.orientation.block_sign)
 
 
 def detuned_pair_hamiltonian(
@@ -430,7 +410,6 @@ def hsd_fidelity(
     *,
     theta: float | None = None,
     phi: float = 0.0,
-    quadrature: tuple[int, int] = (16, 32),
 ) -> float:
     """Swap fidelity of a detuned two-spin pair against the resonant ideal.
 
@@ -458,7 +437,7 @@ def hsd_fidelity(
         val = overlap_sq(np.asarray(c), np.asarray(s), np.asarray(np.exp(1j * phi)))
         return float(val)
 
-    n_theta, n_phi = quadrature
+    n_theta, n_phi = 16, 32
     u, w = np.polynomial.legendre.leggauss(n_theta)
     c = np.sqrt((1.0 + u) / 2.0)
     s = np.sqrt((1.0 - u) / 2.0)
@@ -524,7 +503,6 @@ def run_validation_suite(
     orientation: Orientation = Orientation.AXIAL_Z,
     anomaly_mode: AnomalyMode = AnomalyMode.EXACT_G,
     tolerance: float = 0.15,
-    consts: PhysicalConstants = CODATA2018,
 ) -> OracleReport:
     """Run the standard oracle checks at one (exaggerated) parameter point.
 
@@ -535,10 +513,10 @@ def run_validation_suite(
     """
     if not isinstance(trunc, FockTruncation):
         trunc = FockTruncation(*trunc)
-    dq = synthetic_quantities(epsilon, freq_ratio, anomaly_mode, consts)
+    dq = synthetic_quantities(epsilon, freq_ratio, anomaly_mode)
     xi = xi_over_omega_z * dq.omega_z
-    sys = build_microscopic(dq, xi, orientation, trunc, consts)
-    jz_pred, jxy_pred = predicted_couplings(dq, xi, consts)
+    sys = build_microscopic(dq, xi, orientation, trunc)
+    jz_pred, jxy_pred = predicted_couplings(dq, xi)
 
     def rel(measured: float, predicted: float) -> float:
         return abs(measured - predicted) / abs(predicted) if predicted != 0 else abs(measured)
@@ -561,11 +539,11 @@ def run_validation_suite(
 
     guarded(
         "flip-flop coupling (oscillation fit)", jxy_pred,
-        lambda: extract_effective_jxy(sys, method="fit", consts=consts),
+        lambda: extract_effective_jxy(sys, method="fit"),
     )
     guarded(
         "flip-flop coupling (level splitting)", jxy_pred,
-        lambda: extract_effective_jxy(sys, method="splitting", consts=consts),
+        lambda: extract_effective_jxy(sys, method="splitting"),
     )
     guarded(
         "Ising coupling (dressed energies)", jz_pred,
@@ -590,10 +568,8 @@ def run_validation_suite(
 
     convergence = []
     for k_max in range(1, trunc.k_max + 2):
-        sys_k = build_microscopic(
-            dq, xi, orientation, FockTruncation(trunc.n_max, k_max), consts
-        )
-        convergence.append((k_max, extract_effective_jxy(sys_k, method="splitting", consts=consts)))
+        sys_k = build_microscopic(dq, xi, orientation, FockTruncation(trunc.n_max, k_max))
+        convergence.append((k_max, extract_effective_jxy(sys_k, method="splitting")))
     steps = [abs(b[1] - a[1]) for a, b in zip(convergence, convergence[1:])]
     monotone = all(s2 < s1 for s1, s2 in zip(steps, steps[1:]))
 

@@ -108,7 +108,7 @@ def build_effective_hamiltonian(
         raise ValueError("coupling matrices must be symmetric")
     if orientation is None:
         orientation = cm.orientation
-    prefactor = -1.0 if orientation is Orientation.AXIAL_Z else 0.5
+    prefactor = orientation.block_sign
 
     # Spin of every site in every basis state: +1 up, -1 down.
     bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
@@ -142,21 +142,15 @@ def evolve(hamiltonian: SpinHamiltonian, state: SpinState, t: float) -> SpinStat
     return SpinState(amplitudes=evolved, n_sites=state.n_sites)
 
 
-def single_excitation_block(
-    cm: CouplingMatrix,
-    omega_s: float,
-    orientation: Orientation | None = None,
-) -> tuple[float, np.ndarray]:
+def single_excitation_block(cm: CouplingMatrix, omega_s: float) -> tuple[float, np.ndarray]:
     """Vacuum energy and the N x N one-excitation block of the chain.
 
     The all-down state is an eigenstate; the states with exactly one site up
     close under the dynamics.  A qubit sent from site 0 never leaves these
     sectors, so transfer curves computed from this block are exact for any N.
     """
-    if orientation is None:
-        orientation = cm.orientation
     n = cm.n_sites
-    sign = -1.0 if orientation is Orientation.AXIAL_Z else 0.5
+    sign = cm.orientation.block_sign
     jz = np.asarray(cm.jz, dtype=float)
     jxy = np.asarray(cm.jxy, dtype=float)
     s_site = jz.sum(axis=1)          # total Ising weight touching each site
@@ -186,13 +180,6 @@ class TransferCurve:
     bloch_averaged: bool
 
 
-def _bloch_nodes(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes in cos(theta) and uniform azimuth nodes."""
-    u, w = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    return u, w, phi
-
-
 def _curve_from_amplitude(
     t_grid: np.ndarray,
     f_end: np.ndarray,
@@ -200,39 +187,30 @@ def _curve_from_amplitude(
     theta: float | None,
     phi: float | None,
     bloch_average: bool,
-    quadrature: tuple[int, int] = (16, 32),
 ) -> TransferCurve:
     """Assemble transfer fidelities from the arrival amplitude.
 
     The sender occupies only the zero- and one-excitation sectors, so the last
-    site's reduced state is determined by the arrival amplitude and the vacuum
-    phase; the overlap with the sent qubit follows in closed form.
+    site's reduced state is determined by the arrival amplitude f and the
+    vacuum phase; the overlap with the sent qubit follows in closed form.  Its
+    Bloch average is 1/2 + c/3 + |f|**2/6 (Bose, PRL 91, 207901 (2003)), with
+    c = |f| when the phase is compensated and Re(f exp(i E_vac t)) when not.
     """
     abs_f2 = np.abs(f_end) ** 2
     cross_raw = np.real(f_end * np.exp(1j * e_vac * t_grid))
     cross_comp = np.abs(f_end)
 
-    def fidelities(c2: np.ndarray, s2: np.ndarray, cross: np.ndarray) -> np.ndarray:
-        return c2 * (1.0 - s2 * abs_f2) + s2**2 * abs_f2 + 2.0 * c2 * s2 * cross
-
-    if not bloch_average:
+    if bloch_average:
+        fid = 0.5 + cross_comp / 3.0 + abs_f2 / 6.0
+        raw = 0.5 + cross_raw / 3.0 + abs_f2 / 6.0
+    else:
         if theta is None:
             raise ValueError("theta is required unless bloch_average is set")
         c2 = np.cos(theta / 2.0) ** 2
         s2 = np.sin(theta / 2.0) ** 2
-        fid = fidelities(np.full_like(abs_f2, c2), np.full_like(abs_f2, s2), cross_comp)
-        raw = fidelities(np.full_like(abs_f2, c2), np.full_like(abs_f2, s2), cross_raw)
-    else:
-        u, w, phis = _bloch_nodes(*quadrature)
-        c2 = (1.0 + u) / 2.0   # cos^2(theta/2) with u = cos(theta)
-        s2 = (1.0 - u) / 2.0
-        # The overlap is azimuth-independent, so the uniform azimuth average
-        # reduces to a count-weighted mean of identical node values.
-        fid_nodes = fidelities(c2[:, None], s2[:, None], cross_comp[None, :])
-        raw_nodes = fidelities(c2[:, None], s2[:, None], cross_raw[None, :])
-        n_phi = len(phis)
-        fid = (w @ fid_nodes) * n_phi / (2.0 * n_phi)
-        raw = (w @ raw_nodes) * n_phi / (2.0 * n_phi)
+        # s2 * s2 rounds as the array square the curve has always used
+        fid = c2 * (1.0 - s2 * abs_f2) + s2 * s2 * abs_f2 + 2.0 * c2 * s2 * cross_comp
+        raw = c2 * (1.0 - s2 * abs_f2) + s2 * s2 * abs_f2 + 2.0 * c2 * s2 * cross_raw
 
     return TransferCurve(
         t=t_grid,
@@ -282,12 +260,11 @@ def transfer_fidelity_curve_subspace(
     phi: float | None,
     t_grid: np.ndarray,
     *,
-    orientation: Orientation | None = None,
     bloch_average: bool = False,
 ) -> TransferCurve:
     """Transfer fidelity via the (N+1)-dimensional excitation subspace."""
     t_grid = np.asarray(t_grid, dtype=float)
-    e_vac, block = single_excitation_block(cm, omega_s, orientation)
+    e_vac, block = single_excitation_block(cm, omega_s)
     energies, vectors = np.linalg.eigh(block)
     f_end = _arrival_amplitude(t_grid, energies, vectors[0, :], vectors[-1, :])
     return _curve_from_amplitude(t_grid, f_end, e_vac, theta, phi, bloch_average)

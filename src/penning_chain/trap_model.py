@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 
 
 class AnomalyMode(Enum):
@@ -95,18 +95,14 @@ class DerivedQuantities:
     anomaly_mode: AnomalyMode = AnomalyMode.EXACT_G
 
 
-def derive_quantities(
-    params: TrapParams,
-    consts: PhysicalConstants = CODATA2018,
-    *,
-    strict: bool = True,
-) -> DerivedQuantities:
+def derive_quantities(params: TrapParams, *, strict: bool = True) -> DerivedQuantities:
     """Compute all derived quantities for one trap.
 
     With ``strict=True`` a broken frequency hierarchy raises
     ``HierarchyViolation``; with ``strict=False`` it is downgraded to a
     warning so marginal design points can still be evaluated.
     """
+    consts = CODATA2018
     omega_c = consts.e * params.B0 / consts.m_e
     if params.omega_z_in is not None:
         omega_z = params.omega_z_in
@@ -161,11 +157,7 @@ def _check_hierarchy(label: str, factor: float, strict: bool) -> None:
     )
 
 
-def coulomb_scale(
-    dq: DerivedQuantities,
-    d: float,
-    consts: PhysicalConstants = CODATA2018,
-) -> float:
+def coulomb_scale(dq: DerivedQuantities, d: float) -> float:
     """Pairwise Coulomb coupling rate (rad/s) at inter-trap distance ``d``.
 
     Equals the Coulomb energy of the pair times the squared ratio of the
@@ -173,6 +165,7 @@ def coulomb_scale(
     """
     if not d > 0.0:
         raise ValueError("inter-trap distance must be strictly positive")
+    consts = CODATA2018
     return consts.e**2 / (8.0 * math.pi * consts.eps0 * consts.m_e * dq.omega_z * d**3)
 
 

@@ -142,6 +142,10 @@ class TestExitCodes:
         assert main(["oracle", "--config", path]) == 3
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_oracle_passes_side_by_side(self, capsys):
+        assert main(["oracle", "--orientation", "x"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
 
 class TestFreqsCommand:
     def test_csv_values(self, base_config, capsys):

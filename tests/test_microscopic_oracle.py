@@ -148,6 +148,35 @@ class TestFlipFlopExtraction:
         with pytest.raises(ValueError):
             extract_effective_jxy(dispersive_system, method="bogus")
 
+    def test_side_by_side_splitting_is_minus_half_the_stacked_one(self):
+        # the side-by-side coupling block is -1/2 times the stacked one, so
+        # the raw dressed level splittings must stand in that ratio; the
+        # dressing differs slightly between the two orientations
+        dq = synthetic_quantities(0.025, 15.0)
+        raw = {}
+        for orientation in Orientation:
+            sys = build_microscopic(dq, 0.01, orientation, FockTruncation(3, 3))
+            sector = sys.excitation_sector(1)
+            energies, vectors = np.linalg.eigh(sys.hamiltonian[np.ix_(sector, sector)])
+            ud = int(np.searchsorted(sector, sys.spin_ground_index(1, 0)))
+            du = int(np.searchsorted(sector, sys.spin_ground_index(0, 1)))
+            k_sym = np.argmax(np.abs(vectors[ud] + vectors[du]) ** 2)
+            k_anti = np.argmax(np.abs(vectors[ud] - vectors[du]) ** 2)
+            raw[orientation] = energies[k_sym] - energies[k_anti]
+        ratio = raw[Orientation.TRANSVERSE_X] / raw[Orientation.AXIAL_Z]
+        assert ratio == pytest.approx(-0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("method", ["fit", "splitting"])
+    def test_extraction_is_orientation_free(self, method):
+        # both extractors divide the orientation factor out, so the two
+        # orientations measure the same pair strength up to the dressing
+        dq = synthetic_quantities(0.025, 15.0)
+        _, jxy_pred = predicted_couplings(dq, 0.01)
+        for orientation in Orientation:
+            sys = build_microscopic(dq, 0.01, orientation, FockTruncation(3, 3))
+            measured = extract_effective_jxy(sys, method=method)
+            assert measured / jxy_pred == pytest.approx(0.905, abs=0.01)
+
 
 class TestIsingExtraction:
     def test_dispersive_point(self, dispersive_system):
@@ -213,6 +242,11 @@ class TestValidationSuite:
         text = report.as_text()
         assert "overall: PASS" in text
         assert text.count("pass") >= 5
+
+    def test_default_point_passes_side_by_side(self):
+        report = run_validation_suite(orientation=Orientation.TRANSVERSE_X)
+        assert report.passed, report.as_text()
+        assert all(c.passed for c in report.checks)
 
     def test_strong_point_fails_honestly(self):
         report = run_validation_suite(epsilon=0.05)

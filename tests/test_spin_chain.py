@@ -86,6 +86,21 @@ def test_bit_built_hamiltonian_matches_kronecker_reference(case):
     assert np.max(np.abs(h.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _bloch_quadrature(abs_f2, cross, n_theta=16, n_phi=32):
+    """Sphere average of the fixed-orientation transfer fidelity.
+
+    Gauss-Legendre nodes in cos(theta) times a uniform azimuth grid; the
+    overlap does not depend on the azimuth, and the rule is exact for the
+    degree-2 polynomial in cos(theta) that the fidelity is.
+    """
+    u, w = np.polynomial.legendre.leggauss(n_theta)
+    c2 = (1.0 + u)[:, None] / 2.0
+    s2 = (1.0 - u)[:, None] / 2.0
+    nodes = c2 * (1.0 - s2 * abs_f2) + s2**2 * abs_f2 + 2.0 * c2 * s2 * cross
+    per_theta = np.repeat(nodes[:, None, :], n_phi, axis=1).mean(axis=1)
+    return w @ per_theta / 2.0
+
+
 @pytest.fixture(scope="module")
 def pair(case_a):
     cm = coupling_matrix(case_a, uniform_chain(2, 10e-6))
@@ -265,6 +280,24 @@ class TestTransferCurve:
             acc += transfer_fidelity_curve(h, theta, 0.0, t).fidelity * math.sin(theta)
         manual = acc * (thetas[1] - thetas[0]) / 2.0
         assert np.allclose(averaged.fidelity, manual, atol=1e-6)
+
+    @pytest.mark.parametrize("n_sites", range(2, 9))
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    def test_closed_form_bloch_average_matches_quadrature(
+        self, case_a, n_sites, orientation
+    ):
+        cm = coupling_matrix(case_a, uniform_chain(n_sites, 10e-6, orientation))
+        t = np.linspace(0.0, (n_sites - 1) * math.pi / cm.jxy[0, 1], 257)
+        curve = transfer_fidelity_curve_subspace(
+            cm, case_a.omega_s, None, None, t, bloch_average=True
+        )
+        e_vac, _ = single_excitation_block(cm, case_a.omega_s)
+        for got, cross in (
+            (curve.fidelity, np.abs(curve.amplitude)),
+            (curve.fidelity_raw, np.real(curve.amplitude * np.exp(1j * e_vac * t))),
+        ):
+            ref = _bloch_quadrature(np.abs(curve.amplitude) ** 2, cross)
+            assert np.max(np.abs(got - ref)) <= 1e-14
 
     def test_full_swap_is_perfect_for_any_bloch_state(self, pair):
         dq, cm = pair

@@ -7,9 +7,11 @@ comparison table), ``sweep`` (design-space CSV), ``oracle`` (truncated-Fock
 validation suite).
 
 Exit codes: 0 success, 1 input error, 2 regime violation, 3 acceptance
-failure.  Output is deterministic: floats are printed with 12 significant
-digits and every file starts with '#' metadata lines recording the mode
-flags, constants version, and unit conventions.
+failure.  Each command returns an ``_Output`` record, and ``_write`` alone
+renders it as CSV or JSON and writes it to ``--out`` or stdout.  Output is
+deterministic: floats are printed with 12 significant digits and every CSV
+file starts with '#' metadata lines recording the mode flags, constants
+version, and unit conventions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import itertools
 import json
 import sys
 import warnings
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .benchmarks import (
     row_error_budget,
 )
 from .config import MAX_SWEEP_POINTS, ConfigError, GridTooLarge, RunConfig
-from .constants import CODATA2018, CONSTANTS_VERSION, TWO_PI
+from .constants import CONSTANTS_VERSION
 from .couplings import (
     Orientation,
     RegimeError,
@@ -49,7 +53,6 @@ from .trap_model import (
     AnomalyMode,
     ComplexFrequency,
     HierarchyViolation,
-    TrapParams,
     coulomb_scale,
     derive_quantities,
     validate_regime,
@@ -115,31 +118,7 @@ def _min_spacing(geom) -> float:
     return float(d[d > 0.0].min())
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _meta_lines(command: str, mode=None, orientation=None, extra: tuple[str, ...] = ()) -> list[str]:
-    lines = [
-        f"# penning-chain {command}",
-        f"# constants: {CONSTANTS_VERSION}",
-        "# units: frequencies and couplings rad/s; distances m; times s; temperatures K",
-    ]
-    if mode is not None:
-        lines.append(f"# anomaly_mode: {mode.value}")
-    if orientation is not None:
-        lines.append(f"# orientation: {orientation.value}")
-    lines.extend(extra)
-    return lines
-
-
-def _meta_dict(command: str, mode=None, orientation=None, **extra) -> dict:
+def _meta(command: str, mode=None, orientation=None, **extra) -> dict:
     meta = {
         "command": f"penning-chain {command}",
         "constants": CONSTANTS_VERSION,
@@ -153,10 +132,59 @@ def _meta_dict(command: str, mode=None, orientation=None, **extra) -> dict:
     return meta
 
 
+@dataclass(frozen=True)
+class _Output:
+    """What one command prints, before a format is chosen.
+
+    ``payload`` builds the JSON fields that follow ``"meta"``; it may also
+    return a ``"meta"`` of its own, a superset of ``meta`` (table1 does).
+    ``table`` builds the CSV body: finished text from a library renderer, or
+    a ``(header, rows)`` pair.  Only the requested rendering is built.
+    """
+
+    meta: dict
+    payload: Callable[[], dict]
+    table: Callable[[], str | tuple[str, Iterable]]
+    code: int = EXIT_OK
+    notes: tuple[str, ...] = ()  # CSV-only '#' lines after the metadata
+
+
+def _write(out: _Output, args) -> None:
+    """Render ``out`` as JSON or CSV, to ``--out`` or stdout."""
+    if args.fmt == "json":
+        text = json.dumps({"meta": out.meta, **out.payload()}, indent=2)
+    else:
+        table = out.table()
+        if isinstance(table, str):
+            text = table
+        else:
+            header, rows = table
+            lines = [f"# {out.meta['command']}"]
+            lines.extend(
+                f"# {key}: {','.join(value) if isinstance(value, list) else value}"
+                for key, value in out.meta.items()
+                if key != "command"
+            )
+            lines.extend(f"# {note}" for note in out.notes)
+            lines.append(header)
+            lines.extend(
+                ",".join(_f12(v) if isinstance(v, float) else str(v) for v in row)
+                for row in rows
+            )
+            text = "\n".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 # -- freqs ---------------------------------------------------------------
 
 
-def cmd_freqs(cfg: RunConfig, args) -> int:
+def cmd_freqs(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     dq = derive_quantities(cfg.trap_params(mode))
     xi = 0.0
@@ -167,42 +195,38 @@ def cmd_freqs(cfg: RunConfig, args) -> int:
     report = validate_regime(dq, xi=xi, l_bar=l_bar)
 
     quantities = {
-        "omega_c": dq.omega_c,
-        "omega_z": dq.omega_z,
-        "omega_m": dq.omega_m,
-        "omega_s": dq.omega_s,
-        "omega_a": dq.omega_a,
-        "omega_c_tilde": dq.omega_c_tilde,
-        "delta_z": dq.delta_z,
-        "epsilon": dq.epsilon,
+        name: getattr(dq, name)
+        for name in ("omega_c", "omega_z", "omega_m", "omega_s", "omega_a", "omega_c_tilde",
+                     "delta_z", "epsilon")
     }
-    if args.fmt == "json":
-        payload = {
-            "meta": _meta_dict("freqs", mode),
+    return _Output(
+        _meta("freqs", mode),
+        payload=lambda: {
             "quantities": quantities,
             "regime": [
                 {"condition": c.name, "ratio": c.ratio, "ok": c.ok}
                 for c in report.conditions
             ],
             "regime_ok": report.ok,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = _meta_lines("freqs", mode)
-        lines.append("quantity,value")
-        lines.extend(f"{name},{_f12(value)}" for name, value in quantities.items())
-        lines.extend(
-            f"regime:{c.name},{_f12(c.ratio)},{'ok' if c.ok else 'fail'}"
-            for c in report.conditions
-        )
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if report.ok else EXIT_REGIME_VIOLATION
+        },
+        table=lambda: (
+            "quantity,value",
+            [
+                *quantities.items(),
+                *(
+                    (f"regime:{c.name}", c.ratio, "ok" if c.ok else "fail")
+                    for c in report.conditions
+                ),
+            ],
+        ),
+        code=EXIT_OK if report.ok else EXIT_REGIME_VIOLATION,
+    )
 
 
 # -- couplings -----------------------------------------------------------
 
 
-def cmd_couplings(cfg: RunConfig, args) -> int:
+def cmd_couplings(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     orientation = cfg.orientation(args.orientation)
     dq = derive_quantities(cfg.trap_params(mode))
@@ -210,31 +234,34 @@ def cmd_couplings(cfg: RunConfig, args) -> int:
     l_bar = cfg.get("thermal", "l_bar", default=0.0)
     cm = coupling_matrix(dq, geom, l_bar=l_bar)
 
-    if args.fmt == "json":
-        pairs = [
-            {
-                "i": i,
-                "j": j,
-                "d": float(cm.distances[i, j]),
-                "jz": float(cm.jz[i, j]),
-                "jxy": float(cm.jxy[i, j]),
-            }
-            for i in range(cm.n_sites)
-            for j in range(i + 1, cm.n_sites)
-        ]
-        payload = {"meta": _meta_dict("couplings", mode, orientation), "pairs": pairs}
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
+    def csv_text() -> str:
         buf = io.StringIO()
         write_csv(cm, buf)
-        _emit(buf.getvalue(), args.out)
-    return EXIT_OK
+        return buf.getvalue()
+
+    return _Output(
+        _meta("couplings", mode, orientation),
+        payload=lambda: {
+            "pairs": [
+                {
+                    "i": i,
+                    "j": j,
+                    "d": float(cm.distances[i, j]),
+                    "jz": float(cm.jz[i, j]),
+                    "jxy": float(cm.jxy[i, j]),
+                }
+                for i in range(cm.n_sites)
+                for j in range(i + 1, cm.n_sites)
+            ]
+        },
+        table=csv_text,
+    )
 
 
 # -- transfer ------------------------------------------------------------
 
 
-def cmd_transfer(cfg: RunConfig, args) -> int:
+def cmd_transfer(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     orientation = cfg.orientation(args.orientation)
     dq = derive_quantities(cfg.trap_params(mode))
@@ -243,16 +270,13 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
     cm = coupling_matrix(dq, geom, l_bar=l_bar)
 
     theta_raw = cfg.get("transfer", "theta", cast=str, default="average")
-    if theta_raw == "average":
-        bloch, theta = True, None
-    else:
-        bloch = False
-        try:
-            theta = float(theta_raw)
-        except ValueError:
-            raise ConfigError(
-                f"[transfer] theta must be a number or 'average', got {theta_raw!r}"
-            ) from None
+    bloch = theta_raw == "average"
+    try:
+        theta = None if bloch else float(theta_raw)
+    except ValueError:
+        raise ConfigError(
+            f"[transfer] theta must be a number or 'average', got {theta_raw!r}"
+        ) from None
     phi = cfg.get("transfer", "phi", default=0.0)
 
     jxy_nn = float(cm.jxy[0, 1])
@@ -270,191 +294,112 @@ def cmd_transfer(cfg: RunConfig, args) -> int:
     curve = transfer_fidelity_curve_subspace(
         cm, dq.omega_s, theta, phi, t_grid, bloch_average=bloch
     )
-
-    theta_tag = "average" if bloch else _f12(theta)
-    if args.fmt == "json":
-        payload = {
-            "meta": _meta_dict(
-                "transfer", mode, orientation,
-                theta=theta_tag, n_sites=geom.n_sites,
-                path="subspace",
-            ),
-            "t": [float(v) for v in curve.t],
-            "fidelity": [float(v) for v in curve.fidelity],
-            "fidelity_raw": [float(v) for v in curve.fidelity_raw],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = _meta_lines(
+    columns = {"t": curve.t, "fidelity": curve.fidelity, "fidelity_raw": curve.fidelity_raw}
+    return _Output(
+        _meta(
             "transfer", mode, orientation,
-            extra=(
-                f"# theta: {theta_tag}",
-                f"# n_sites: {geom.n_sites}",
-                "# path: subspace",
-            ),
-        )
-        lines.append("t,fidelity,fidelity_raw")
-        lines.extend(
-            f"{_f12(t)},{_f12(f)},{_f12(r)}"
-            for t, f, r in zip(curve.t, curve.fidelity, curve.fidelity_raw)
-        )
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+            theta="average" if bloch else _f12(theta), n_sites=geom.n_sites,
+            path="subspace",
+        ),
+        payload=lambda: {name: values.tolist() for name, values in columns.items()},
+        table=lambda: (",".join(columns), zip(*columns.values())),
+    )
 
 
 # -- fidelity ------------------------------------------------------------
 
 
-def cmd_fidelity(cfg: RunConfig, args) -> int:
+def _budget_cell(name: str, value):
+    if name == "mode_tags":
+        return ";".join(value)
+    if name == "in_range":
+        return "yes" if value else "no"
+    return value
+
+
+def cmd_fidelity(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     dq = derive_quantities(cfg.trap_params(mode))
     geom = cfg.geometry(cfg.orientation(args.orientation))
     occ = cfg.occupations(dq)
     _, jxy = pair_coupling_strengths(dq, _min_spacing(geom))
-    report = total_fidelity(dq, occ, jxy, n_sites=geom.n_sites)
-
-    if args.fmt == "json":
-        payload = {"meta": _meta_dict("fidelity", mode), "report": report.as_dict()}
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = _meta_lines("fidelity", mode)
-        lines.append("quantity,value")
-        for name, value in report.as_dict().items():
-            if name == "mode_tags":
-                lines.append(f"mode_tags,{';'.join(value)}")
-            elif name == "in_range":
-                lines.append(f"in_range,{'yes' if value else 'no'}")
-            elif name == "n_sites":
-                lines.append(f"n_sites,{value}")
-            else:
-                lines.append(f"{name},{_f12(value)}")
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    budget = total_fidelity(dq, occ, jxy, n_sites=geom.n_sites).as_dict()
+    return _Output(
+        _meta("fidelity", mode),
+        payload=lambda: {"report": budget},
+        table=lambda: (
+            "quantity,value",
+            [(name, _budget_cell(name, value)) for name, value in budget.items()],
+        ),
+    )
 
 
 # -- table1 --------------------------------------------------------------
 
 
-def cmd_table1(cfg: RunConfig, args) -> int:
-    del cfg  # the benchmark rows are built in
+def cmd_table1(cfg: RunConfig, args) -> _Output:
+    del cfg, args  # the benchmark rows are built in
     records = []
-    for row in REFERENCE_ROWS:
-        with warnings.catch_warnings():
-            # several rows sit deliberately at marginal frequency
-            # hierarchies; the gates below are the actual verdict
-            warnings.simplefilter("ignore", UserWarning)
-            _, jxy_approx = row_couplings(row, AnomalyMode.APPROX_1E3)
-            _, jxy_exact = row_couplings(row, AnomalyMode.EXACT_G)
-            ratio_rad = coupling_ratio(row, AnomalyMode.APPROX_1E3)
+    with warnings.catch_warnings():
+        # several rows sit deliberately at marginal frequency hierarchies;
+        # the gates below are the actual verdict
+        warnings.simplefilter("ignore", UserWarning)
+        for row in REFERENCE_ROWS:
             ratio_cyc = coupling_ratio(row, AnomalyMode.APPROX_1E3, cyclic_reading=True)
-            misread_factor = max(ratio_cyc, 1.0 / ratio_cyc)
-            f_exact = row_error_budget(row, AnomalyMode.EXACT_G).f_total
-            f_approx = row_error_budget(row, AnomalyMode.APPROX_1E3).f_total
-        records.append(
-            {
-                "row": row,
-                "jxy_approx": jxy_approx,
-                "jxy_exact": jxy_exact,
-                "ratio_rad": ratio_rad,
-                "misread_factor": misread_factor,
-                "f_exact": f_exact,
-                "f_approx": f_approx,
-            }
-        )
-
-    gate_rad = all(0.5 <= rec["ratio_rad"] <= 2.0 for rec in records)
-    gate_cyclic = sum(rec["misread_factor"] > 5.0 for rec in records) >= 4
-    d10 = {
-        rec["row"].case: rec
-        for rec in records
-        if abs(rec["row"].spacing - 10e-6) < 1e-12
-    }
-    err_ratios = {
-        case: (1.0 - rec["f_exact"]) / (1.0 - TARGET_FIDELITY[case])
-        for case, rec in d10.items()
-    }
-    gate_budget = all(1.0 / 3.0 <= r <= 3.0 for r in err_ratios.values())
-    gate_order = (1.0 - d10["A"]["f_exact"]) > (1.0 - d10["B"]["f_exact"])
-    passed = gate_rad and gate_cyclic and gate_budget and gate_order
-
-    gates = (
-        f"# gate quoted-column-read-as-1e3-rad/s within factor 2 (all rows): "
-        f"{'pass' if gate_rad else 'FAIL'}",
-        f"# gate cyclic-kHz misreading off by >5x (at least 4 rows): "
-        f"{'pass' if gate_cyclic else 'FAIL'}",
-        f"# gate d=10um error budgets within factor 3 of targets: "
-        f"{'pass' if gate_budget else 'FAIL'}"
-        + " ("
-        + ", ".join(f"case {c}: {_f12(r)}" for c, r in sorted(err_ratios.items()))
-        + ")",
-        f"# gate case A errs more than case B: {'pass' if gate_order else 'FAIL'}",
-        f"# overall: {'PASS' if passed else 'FAIL'}",
-    )
-
-    if args.fmt == "json":
-        payload = {
-            "meta": _meta_dict(
-                "table1",
-                quoted_unit="1e3 rad/s (resolved reading)",
-                gates={
-                    "rad_reading_within_2x": gate_rad,
-                    "cyclic_misread_over_5x_on_4_rows": gate_cyclic,
-                    "d10_error_within_3x": gate_budget,
-                    "case_a_errs_more_than_b": gate_order,
-                    "overall": passed,
-                },
-            ),
-            "rows": [
+            records.append(
                 {
-                    "case": rec["row"].case,
-                    "d": rec["row"].spacing,
-                    "f_z": rec["row"].f_z,
-                    "gradient": rec["row"].gradient,
-                    "l_bar": rec["row"].l_bar,
-                    "quoted": rec["row"].jxy_printed,
-                    "jxy_approx": rec["jxy_approx"],
-                    "jxy_exact": rec["jxy_exact"],
-                    "rad_reading_ratio": rec["ratio_rad"],
-                    "cyclic_misread_factor": rec["misread_factor"],
-                    "f_exact": rec["f_exact"],
-                    "f_approx": rec["f_approx"],
-                    "f_target": TARGET_FIDELITY[rec["row"].case],
+                    "case": row.case,
+                    "d": row.spacing,
+                    "f_z": row.f_z,
+                    "gradient": row.gradient,
+                    "l_bar": row.l_bar,
+                    "quoted": row.jxy_printed,
+                    "jxy_approx": row_couplings(row, AnomalyMode.APPROX_1E3)[1],
+                    "jxy_exact": row_couplings(row, AnomalyMode.EXACT_G)[1],
+                    "rad_reading_ratio": coupling_ratio(row, AnomalyMode.APPROX_1E3),
+                    "cyclic_misread_factor": max(ratio_cyc, 1.0 / ratio_cyc),
+                    "f_exact": row_error_budget(row, AnomalyMode.EXACT_G).f_total,
+                    "f_approx": row_error_budget(row, AnomalyMode.APPROX_1E3).f_total,
+                    "f_target": TARGET_FIDELITY[row.case],
                 }
-                for rec in records
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = _meta_lines(
-            "table1", extra=("# quoted column resolved as 1e3 rad/s",) + gates
-        )
-        lines.append(
-            "case,d,f_z,gradient,l_bar,quoted,jxy_approx,jxy_exact,"
-            "rad_reading_ratio,cyclic_misread_factor,f_exact,f_approx,f_target"
-        )
-        for rec in records:
-            row = rec["row"]
-            lines.append(
-                ",".join(
-                    (
-                        row.case,
-                        _f12(row.spacing),
-                        _f12(row.f_z),
-                        _f12(row.gradient),
-                        _f12(row.l_bar),
-                        _f12(row.jxy_printed),
-                        _f12(rec["jxy_approx"]),
-                        _f12(rec["jxy_exact"]),
-                        _f12(rec["ratio_rad"]),
-                        _f12(rec["misread_factor"]),
-                        _f12(rec["f_exact"]),
-                        _f12(rec["f_approx"]),
-                        _f12(TARGET_FIDELITY[row.case]),
-                    )
-                )
             )
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK if passed else EXIT_ACCEPTANCE_FAILURE
+
+    d10 = {rec["case"]: rec for rec in records if abs(rec["d"] - 10e-6) < 1e-12}
+    err_ratios = {
+        case: (1.0 - rec["f_exact"]) / (1.0 - rec["f_target"]) for case, rec in d10.items()
+    }
+    gates = {
+        "rad_reading_within_2x": all(0.5 <= rec["rad_reading_ratio"] <= 2.0 for rec in records),
+        "cyclic_misread_over_5x_on_4_rows":
+            sum(rec["cyclic_misread_factor"] > 5.0 for rec in records) >= 4,
+        "d10_error_within_3x": all(1.0 / 3.0 <= r <= 3.0 for r in err_ratios.values()),
+        "case_a_errs_more_than_b": (1.0 - d10["A"]["f_exact"]) > (1.0 - d10["B"]["f_exact"]),
+    }
+    gates["overall"] = all(gates.values())
+    verdict = {key: "pass" if ok else "FAIL" for key, ok in gates.items()}
+    ratios = ", ".join(f"case {c}: {_f12(r)}" for c, r in sorted(err_ratios.items()))
+
+    meta = _meta("table1")
+    return _Output(
+        meta,
+        payload=lambda: {
+            "meta": {**meta, "quoted_unit": "1e3 rad/s (resolved reading)", "gates": gates},
+            "rows": records,
+        },
+        table=lambda: (",".join(records[0]), (rec.values() for rec in records)),
+        code=EXIT_OK if gates["overall"] else EXIT_ACCEPTANCE_FAILURE,
+        notes=(
+            "quoted column resolved as 1e3 rad/s",
+            "gate quoted-column-read-as-1e3-rad/s within factor 2 (all rows): "
+            f"{verdict['rad_reading_within_2x']}",
+            "gate cyclic-kHz misreading off by >5x (at least 4 rows): "
+            f"{verdict['cyclic_misread_over_5x_on_4_rows']}",
+            "gate d=10um error budgets within factor 3 of targets: "
+            f"{verdict['d10_error_within_3x']} ({ratios})",
+            f"gate case A errs more than case B: {verdict['case_a_errs_more_than_b']}",
+            f"overall: {verdict['overall'].upper()}",
+        ),
+    )
 
 
 # -- sweep ---------------------------------------------------------------
@@ -491,32 +436,7 @@ def _sweep_axes(cfg: RunConfig) -> list[tuple[str, np.ndarray]]:
     return axes
 
 
-def _point_params(cfg: RunConfig, values: dict, mode: AnomalyMode) -> TrapParams:
-    consts = CODATA2018
-    if "f_c" in values:
-        b0 = TWO_PI * values["f_c"] * consts.m_e / consts.e
-    else:
-        has_b0, has_fc = cfg.has("trap", "b0"), cfg.has("trap", "f_c")
-        if has_b0 == has_fc:
-            raise ConfigError("specify exactly one of b0 or f_c in [trap]")
-        b0 = (
-            cfg.get("trap", "b0")
-            if has_b0
-            else TWO_PI * cfg.get("trap", "f_c") * consts.m_e / consts.e
-        )
-    if "f_z" in values:
-        omega_z = TWO_PI * values["f_z"]
-    elif cfg.has("trap", "f_z"):
-        omega_z = TWO_PI * cfg.get("trap", "f_z")
-    elif cfg.has("trap", "omega_z"):
-        omega_z = cfg.get("trap", "omega_z")
-    else:
-        raise ConfigError("sweep needs [trap] f_z or omega_z unless f_z is an axis")
-    gradient = values.get("gradient", cfg.get("trap", "gradient", default=0.0))
-    return TrapParams(B0=b0, b=gradient, omega_z_in=omega_z, anomaly_mode=mode)
-
-
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     axes = _sweep_axes(cfg)
     axis_names = [name for name, _ in axes]
@@ -526,17 +446,17 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     nan = float("nan")
     out_rows = []
     for combo in itertools.product(*(vals for _, vals in axes)):
-        values = dict(zip(axis_names, (float(v) for v in combo)))
-        d = values.get("spacing", cfg.get("chain", "spacing", default=nan))
-        gradient = values.get("gradient", cfg.get("trap", "gradient", default=0.0))
+        point = dict(zip(axis_names, (float(v) for v in combo)))
+        d = point.get("spacing", cfg.get("chain", "spacing", default=nan))
+        params = cfg.trap_params(mode, point)
         with warnings.catch_warnings():
             # marginal grid points are expected; the regime_ok column is
             # the per-point verdict
             warnings.simplefilter("ignore", UserWarning)
             try:
-                dq = derive_quantities(_point_params(cfg, values, mode), strict=False)
+                dq = derive_quantities(params, strict=False)
             except ComplexFrequency:
-                out_rows.append((gradient, d, nan, nan, nan, nan, nan, nan, nan, 0))
+                out_rows.append((params.b, d, nan, nan, nan, nan, nan, nan, nan, 0))
                 continue
             _, jxy = pair_coupling_strengths(dq, d)
             xi = coulomb_scale(dq, d)
@@ -551,33 +471,22 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             else:
                 t_ex = f_total = e_r = es2 = nan
         out_rows.append(
-            (gradient, d, dq.omega_z, dq.omega_c, jxy, t_ex, f_total, e_r, es2,
+            (params.b, d, dq.omega_z, dq.omega_c, jxy, t_ex, f_total, e_r, es2,
              int(regime_ok))
         )
 
     header = "b,d,omega_z,omega_c,jxy,t_ex,f_total,e_r,eps2_e_s,regime_ok"
-    if args.fmt == "json":
-        payload = {
-            "meta": _meta_dict("sweep", mode, axes=axis_names),
-            "columns": header.split(","),
-            "rows": [list(r) for r in out_rows],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = _meta_lines("sweep", mode, extra=(f"# axes: {','.join(axis_names)}",))
-        lines.append(header)
-        lines.extend(
-            ",".join(_f12(v) if isinstance(v, float) else str(v) for v in row)
-            for row in out_rows
-        )
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return _Output(
+        _meta("sweep", mode, axes=axis_names),
+        payload=lambda: {"columns": header.split(","), "rows": [list(r) for r in out_rows]},
+        table=lambda: (header, out_rows),
+    )
 
 
 # -- oracle --------------------------------------------------------------
 
 
-def cmd_oracle(cfg: RunConfig, args) -> int:
+def cmd_oracle(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     orientation = cfg.orientation(args.orientation)
     trunc = FockTruncation(
@@ -593,29 +502,12 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         anomaly_mode=mode,
         tolerance=cfg.get("oracle", "tolerance", default=0.15),
     )
-    if args.fmt == "json":
-        payload = {
-            "meta": _meta_dict("oracle", mode, orientation),
-            "checks": [
-                {
-                    "name": c.name,
-                    "predicted": c.predicted,
-                    "measured": c.measured,
-                    "deviation": c.deviation,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "note": c.note,
-                }
-                for c in report.checks
-            ],
-            "convergence": [[k, j] for k, j in report.convergence],
-            "convergence_monotone": report.convergence_monotone,
-            "passed": report.passed,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(report.as_text(), args.out)
-    return EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILURE
+    return _Output(
+        _meta("oracle", mode, orientation),
+        payload=lambda: asdict(report),
+        table=report.as_text,
+        code=EXIT_OK if report.passed else EXIT_ACCEPTANCE_FAILURE,
+    )
 
 
 _HANDLERS = {
@@ -634,7 +526,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = RunConfig.load(args.config) if args.config else RunConfig.empty()
-        return _HANDLERS[args.command](cfg, args)
+        out = _HANDLERS[args.command](cfg, args)
+        _write(out, args)
+        return out.code
     except (HierarchyViolation, ComplexFrequency, RegimeError) as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME_VIOLATION

@@ -2,7 +2,10 @@
 
 Flat INI-style files with section headers; the schema below is the
 authority — unknown sections or keys are rejected rather than ignored, so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default.  Values are read literally (a
+``%`` is not an interpolation).  A sweep point's axis values replace the
+[trap] keys for the same quantity; every other [trap] rule is the one all
+commands apply.
 
     [trap]
     f_c = 8e9            # cyclotron frequency, Hz (or b0 = field, T)
@@ -88,7 +91,9 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(
+            inline_comment_prefixes=("#", ";"), interpolation=None
+        )
         text = Path(path).read_text()
         try:
             parser.read_string(text)
@@ -149,38 +154,37 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"orientation must be 'z' or 'x', got {value!r}") from None
 
-    def trap_params(self, mode: AnomalyMode) -> TrapParams:
-        has_b0, has_fc = self.has("trap", "b0"), self.has("trap", "f_c")
-        if has_b0 == has_fc:
-            raise ConfigError("specify exactly one of b0 or f_c in [trap]")
-        b0 = (
-            self.get("trap", "b0")
-            if has_b0
-            else TWO_PI * self.get("trap", "f_c") * CODATA2018.m_e / CODATA2018.e
-        )
-        gradient = self.get("trap", "gradient", default=0.0)
+    def trap_params(self, mode: AnomalyMode, point: dict[str, float] | None = None) -> TrapParams:
+        """Trap parameters from [trap].  A sweep ``point`` (f_c, f_z, gradient)
+        replaces the [trap] keys for the same quantity; the rules are otherwise
+        the same for every command."""
+        point = point or {}
 
-        axial_keys = [
-            k for k in ("f_z", "omega_z") if self.has("trap", k)
-        ] + (["v0"] if self.has("trap", "v0") else [])
+        def value(key: str, default=_MISSING) -> float:
+            return point[key] if key in point else self.get("trap", key, default=default)
+
+        if "f_c" not in point and self.has("trap", "b0") == self.has("trap", "f_c"):
+            raise ConfigError("specify exactly one of b0 or f_c in [trap]")
+        if "f_c" in point or self.has("trap", "f_c"):
+            b0 = TWO_PI * value("f_c") * CODATA2018.m_e / CODATA2018.e
+        else:
+            b0 = self.get("trap", "b0")
+
+        axial_keys = (
+            ["f_z"] if "f_z" in point
+            else [k for k in ("f_z", "omega_z", "v0") if self.has("trap", k)]
+        )
         if len(axial_keys) != 1:
             raise ConfigError(
                 "specify the axial confinement as exactly one of f_z, omega_z, or v0+ell"
             )
         if axial_keys[0] == "v0":
-            return TrapParams(
-                B0=b0,
-                b=gradient,
-                V0=self.get("trap", "v0"),
-                ell=self.get("trap", "ell"),
-                anomaly_mode=mode,
-            )
-        omega_z = (
-            TWO_PI * self.get("trap", "f_z")
-            if axial_keys[0] == "f_z"
-            else self.get("trap", "omega_z")
-        )
-        return TrapParams(B0=b0, b=gradient, omega_z_in=omega_z, anomaly_mode=mode)
+            axial = {"V0": self.get("trap", "v0"), "ell": self.get("trap", "ell")}
+        elif axial_keys[0] == "f_z":
+            axial = {"omega_z_in": TWO_PI * value("f_z")}
+        else:
+            axial = {"omega_z_in": self.get("trap", "omega_z")}
+        return TrapParams(B0=b0, b=value("gradient", 0.0), anomaly_mode=mode, **axial)
 
     def geometry(self, orientation: Orientation) -> ChainGeometry:
         if self.has("chain", "positions"):

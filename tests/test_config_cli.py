@@ -109,6 +109,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"\[trap\] f_c"):
             cfg.get("trap", "f_c")
 
+    @pytest.mark.parametrize(
+        "command, ini",
+        [
+            ("freqs", BASE_INI.replace("gradient = 1800", "gradient = 1800%")),
+            ("transfer", BASE_INI + "\n[transfer]\ntheta = %(x)s\n"),
+        ],
+        ids=["gradient", "theta"],
+    )
+    def test_percent_in_a_value_is_literal(self, tmp_path, capsys, command, ini):
+        # configparser's interpolation would raise out of main instead
+        assert main([command, "--config", write_config(tmp_path, ini)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestExitCodes:
     def test_ok(self, base_config, capsys):
@@ -356,6 +369,30 @@ f_c = 0.4e9:8e9:2
         second = body[2].split(",")
         assert float(second[4]) > 0.0
 
+    def test_ambiguous_axial_confinement_rejected(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "[trap]\nf_c = 8e9\nf_z = 490e6\nomega_z = 3.0e9\n"
+            "[chain]\nspacing = 10e-6\n[sweep]\naxes = gradient\ngradient = 600:1800:3\n",
+        )
+        assert main(["sweep", "--config", path]) == 1
+        assert "exactly one of f_z, omega_z, or v0+ell" in capsys.readouterr().err
+
+    def test_voltage_defined_trap(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "[trap]\nf_c = 8e9\nv0 = 0.27\nell = 100e-6\ngradient = 1800\n"
+            "[chain]\nspacing = 10e-6\n[thermal]\ntemperature = 0.080\nl_bar = 2.0\n"
+            "[sweep]\naxes = gradient\ngradient = 600:1800:3\n",
+        )
+        assert main(["sweep", "--config", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        cfg = RunConfig.load(path)
+        omega_z = derive_quantities(cfg.trap_params(AnomalyMode.EXACT_G)).omega_z
+        column = payload["columns"].index("omega_z")
+        assert [row[column] for row in payload["rows"]] == [omega_z] * 3
+        assert [row[0] for row in payload["rows"]] == [600.0, 1200.0, 1800.0]
+
     def test_oversized_grid_rejected(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -375,6 +412,35 @@ spacing = 1e-6:1e-5:1001
         )
         assert main(["sweep", "--config", path]) == 1
         assert "budget" in capsys.readouterr().err
+
+
+OUT_INI = BASE_INI + """
+[transfer]
+n_points = 16
+
+[sweep]
+axes = gradient
+gradient = 600:1800:3
+
+[oracle]
+n_max = 2
+k_max = 1
+"""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command", ["freqs", "couplings", "transfer", "fidelity", "table1", "sweep", "oracle"]
+)
+def test_out_file_matches_stdout(tmp_path, capsys, command, fmt):
+    path = write_config(tmp_path, OUT_INI)
+    argv = [command, "--config", path, "--format", fmt]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    target = tmp_path / f"{command}.{fmt}"
+    assert main(argv + ["--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ version, and unit conventions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import itertools
 import json
@@ -149,36 +150,30 @@ class _Output:
     notes: tuple[str, ...] = ()  # CSV-only '#' lines after the metadata
 
 
+def _csv_lines(out: _Output, header: str, rows: Iterable):
+    yield f"# {out.meta['command']}\n"
+    for key, value in out.meta.items():
+        if key != "command":
+            yield f"# {key}: {','.join(value) if isinstance(value, list) else value}\n"
+    for note in out.notes:
+        yield f"# {note}\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(_f12(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
 def _write(out: _Output, args) -> None:
-    """Render ``out`` as JSON or CSV, to ``--out`` or stdout."""
+    """Render ``out`` as JSON or CSV, to ``--out`` or stdout, line by line."""
     if args.fmt == "json":
-        text = json.dumps({"meta": out.meta, **out.payload()}, indent=2)
+        chunks = [json.dumps({"meta": out.meta, **out.payload()}, indent=2) + "\n"]
     else:
         table = out.table()
         if isinstance(table, str):
-            text = table
+            chunks = [table if table.endswith("\n") else table + "\n"]
         else:
-            header, rows = table
-            lines = [f"# {out.meta['command']}"]
-            lines.extend(
-                f"# {key}: {','.join(value) if isinstance(value, list) else value}"
-                for key, value in out.meta.items()
-                if key != "command"
-            )
-            lines.extend(f"# {note}" for note in out.notes)
-            lines.append(header)
-            lines.extend(
-                ",".join(_f12(v) if isinstance(v, float) else str(v) for v in row)
-                for row in rows
-            )
-            text = "\n".join(lines)
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            chunks = _csv_lines(out, *table)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
 # -- freqs ---------------------------------------------------------------

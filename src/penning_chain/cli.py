@@ -69,6 +69,10 @@ def _f12(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _cell(value) -> str:
+    return _f12(value) if isinstance(value, float) else str(value)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant that raises instead of exiting, so the exit code
     stays under this module's control (argparse's own exit code collides
@@ -159,7 +163,7 @@ def _csv_lines(out: _Output, header: str, rows: Iterable):
         yield f"# {note}\n"
     yield header + "\n"
     for row in rows:
-        yield ",".join(_f12(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+        yield ",".join(map(_cell, row)) + "\n"
 
 
 def _write(out: _Output, args) -> None:
@@ -289,14 +293,19 @@ def cmd_transfer(cfg: RunConfig, args) -> _Output:
     curve = transfer_fidelity_curve_subspace(
         cm, dq.omega_s, theta, phi, t_grid, bloch_average=bloch
     )
-    columns = {"t": curve.t, "fidelity": curve.fidelity, "fidelity_raw": curve.fidelity_raw}
+    # Python floats format faster than numpy scalars, to the same digits
+    columns = {
+        "t": curve.t.tolist(),
+        "fidelity": curve.fidelity.tolist(),
+        "fidelity_raw": curve.fidelity_raw.tolist(),
+    }
     return _Output(
         _meta(
             "transfer", mode, orientation,
             theta="average" if bloch else _f12(theta), n_sites=geom.n_sites,
             path="subspace",
         ),
-        payload=lambda: {name: values.tolist() for name, values in columns.items()},
+        payload=lambda: columns,
         table=lambda: (",".join(columns), zip(*columns.values())),
     )
 

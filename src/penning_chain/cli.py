@@ -39,7 +39,6 @@ from .benchmarks import (
 from .config import MAX_SWEEP_POINTS, ConfigError, GridTooLarge, RunConfig
 from .constants import CONSTANTS_VERSION
 from .couplings import (
-    Orientation,
     RegimeError,
     ZeroCoupling,
     coupling_matrix,

@@ -49,7 +49,6 @@ from .fidelity_model import (
     error_residual,
     fd,
     occupation_from_temperature,
-    thermal_prob,
     total_fidelity,
 )
 from .microscopic_oracle import (

@@ -21,6 +21,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import sys
 import warnings
 from collections.abc import Callable, Iterable
@@ -36,7 +37,7 @@ from .benchmarks import (
     row_couplings,
     row_error_budget,
 )
-from .config import MAX_SWEEP_POINTS, ConfigError, GridTooLarge, RunConfig
+from .config import MAX_SWEEP_POINTS, ConfigError, GridTooLarge, RunConfig, require_finite
 from .constants import CONSTANTS_VERSION
 from .couplings import (
     RegimeError,
@@ -115,13 +116,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _min_spacing(geom) -> float:
-    if geom.n_sites < 2:
-        raise ConfigError("the chain needs at least two sites")
-    d = geom.distances()
-    return float(d[d > 0.0].min())
-
-
 def _meta(command: str, mode=None, orientation=None, **extra) -> dict:
     meta = {
         "command": f"penning-chain {command}",
@@ -165,10 +159,23 @@ def _csv_lines(out: _Output, header: str, rows: Iterable):
         yield ",".join(map(_cell, row)) + "\n"
 
 
+def _null_nonfinite(value):
+    """``value`` with every infinite or NaN float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write(out: _Output, args) -> None:
-    """Render ``out`` as JSON or CSV, to ``--out`` or stdout, line by line."""
+    """Render ``out`` as JSON or CSV, to ``--out`` or stdout, line by line.
+
+    JSON is strict: a non-finite float is written as null.  CSV prints nan.
+    """
     if args.fmt == "json":
-        chunks = [json.dumps({"meta": out.meta, **out.payload()}, indent=2) + "\n"]
+        document = _null_nonfinite({"meta": out.meta, **out.payload()})
+        chunks = [json.dumps(document, indent=2, allow_nan=False) + "\n"]
     else:
         table = out.table()
         if isinstance(table, str):
@@ -188,7 +195,7 @@ def cmd_freqs(cfg: RunConfig, args) -> _Output:
     xi = 0.0
     if cfg.has("chain", "spacing") or cfg.has("chain", "positions"):
         geom = cfg.geometry(cfg.orientation(args.orientation))
-        xi = coulomb_scale(dq, _min_spacing(geom))
+        xi = coulomb_scale(dq, geom.min_spacing)
     l_bar = cfg.get("thermal", "l_bar", default=0.0)
     report = validate_regime(dq, xi=xi, l_bar=l_bar)
 
@@ -275,6 +282,8 @@ def cmd_transfer(cfg: RunConfig, args) -> _Output:
         raise ConfigError(
             f"[transfer] theta must be a number or 'average', got {theta_raw!r}"
         ) from None
+    if not bloch:
+        require_finite("[transfer] theta", theta_raw, theta)
     phi = cfg.get("transfer", "phi", default=0.0)
 
     jxy_nn = float(cm.jxy[0, 1])
@@ -325,7 +334,7 @@ def cmd_fidelity(cfg: RunConfig, args) -> _Output:
     dq = derive_quantities(cfg.trap_params(mode))
     geom = cfg.geometry(cfg.orientation(args.orientation))
     occ = cfg.occupations(dq)
-    _, jxy = pair_coupling_strengths(dq, _min_spacing(geom))
+    _, jxy = pair_coupling_strengths(dq, geom.min_spacing)
     budget = total_fidelity(dq, occ, jxy, n_sites=geom.n_sites).as_dict()
     return _Output(
         _meta("fidelity", mode),
@@ -430,6 +439,7 @@ def _sweep_axes(cfg: RunConfig) -> list[tuple[str, np.ndarray]]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"cannot parse [sweep] {name} = {spec!r}") from None
+        require_finite(f"[sweep] {name} bounds", spec, start, stop)
         if count < 1:
             raise ConfigError(f"[sweep] {name} count must be >= 1")
         axes.append((name, np.linspace(start, stop, count)))

@@ -3,7 +3,8 @@
 Flat INI-style files with section headers; the schema below is the
 authority — unknown sections or keys are rejected rather than ignored, so a
 typo cannot silently fall back to a default.  Values are read literally (a
-``%`` is not an interpolation).  A sweep point's axis values replace the
+``%`` is not an interpolation), and every number must be finite (``inf`` and
+``nan`` are input errors).  A sweep point's axis values replace the
 [trap] keys for the same quantity; every other [trap] rule is the one all
 commands apply.
 
@@ -47,6 +48,7 @@ commands apply.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,9 +80,14 @@ _SCHEMA: dict[str, frozenset[str]] = {
     ),
 }
 
+
+def require_finite(what: str, raw: str, *values: float) -> None:
+    """Refuse a config value that parsed to an infinite or NaN number."""
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} must be finite, got {raw!r}")
+
+
 _MISSING = object()
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 @dataclass
@@ -124,19 +131,15 @@ class RunConfig:
                 raise ConfigError(f"missing required key '{key}' in section [{section}]")
             return default
         raw = self.parser.get(section, key).strip()
-        if cast is bool:
-            low = raw.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ConfigError(f"cannot parse [{section}] {key} = {raw!r} as a boolean")
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError:
             raise ConfigError(
                 f"cannot parse [{section}] {key} = {raw!r} as {cast.__name__}"
             ) from None
+        if cast is float:
+            require_finite(f"[{section}] {key}", raw, value)
+        return value
 
     # -- typed builders -------------------------------------------------
 
@@ -193,6 +196,7 @@ class RunConfig:
                 positions = tuple(float(tok) for tok in raw.split(",") if tok.strip())
             except ValueError:
                 raise ConfigError(f"cannot parse [chain] positions = {raw!r}") from None
+            require_finite("[chain] positions", raw, *positions)
             return ChainGeometry(orientation=orientation, positions=positions)
         n_sites = self.get("chain", "n_sites", cast=int, default=2)
         spacing = self.get("chain", "spacing")

@@ -3,9 +3,7 @@
 The gradient-induced spin-motion coupling, relayed between traps by the
 Coulomb interaction, produces an Ising-type coupling (through the axial
 motion) and a flip-flop coupling (through the cyclotron motion).  Both fall
-off with the cube of the distance, so the full all-pairs matrix is computed;
-a flag restricts to nearest neighbours for comparison with ideal-chain
-studies.
+off with the cube of the distance, so the full all-pairs matrix is computed.
 """
 
 from __future__ import annotations
@@ -67,8 +65,10 @@ class ChainGeometry:
     def n_sites(self) -> int:
         return len(self.positions)
 
-    def distance(self, i: int, j: int) -> float:
-        return abs(self.positions[j] - self.positions[i])
+    @property
+    def min_spacing(self) -> float:
+        """Smallest neighbour gap, where the Coulomb rate is largest."""
+        return min(b - a for a, b in zip(self.positions, self.positions[1:]))
 
     def distances(self) -> np.ndarray:
         pos = np.asarray(self.positions)
@@ -136,7 +136,6 @@ def coupling_matrix(
     geom: ChainGeometry,
     *,
     l_bar: float = 0.0,
-    nearest_neighbor_only: bool = False,
     force: bool = False,
 ) -> CouplingMatrix:
     """All-pairs coupling matrix for the chain.
@@ -165,10 +164,9 @@ def coupling_matrix(
         raise ValueError("all sites must use the same anomaly mode")
     (mode,) = modes
 
-    d_min = min(geom.distance(i, i + 1) for i in range(n - 1))
     failing: list[str] = []
     for q in dict.fromkeys(site_dq):
-        report = validate_regime(q, xi=coulomb_scale(q, d_min), l_bar=l_bar)
+        report = validate_regime(q, xi=coulomb_scale(q, geom.min_spacing), l_bar=l_bar)
         failing.extend(report.failing())
     if failing and not force:
         raise RegimeError(
@@ -176,10 +174,7 @@ def coupling_matrix(
         )
 
     dist = geom.distances()
-    if nearest_neighbor_only:
-        pairs = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
-    else:
-        pairs = ~np.eye(n, dtype=bool)
+    pairs = ~np.eye(n, dtype=bool)
 
     def column(values) -> np.ndarray:
         return np.array(values)[:, None]

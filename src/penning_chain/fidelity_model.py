@@ -80,18 +80,6 @@ def occupation_from_temperature(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(CODATA2018.hbar * omega / (CODATA2018.k_B * temperature))
 
 
-def thermal_prob(m_bar: float, m) -> float | np.ndarray:
-    """Probability of the m-th Fock state in a thermal state with mean m_bar."""
-    if m_bar < 0.0:
-        raise ValueError("m_bar must be >= 0")
-    m_arr = np.asarray(m)
-    if np.any(m_arr < 0):
-        raise ValueError("Fock index must be >= 0")
-    ratio = m_bar / (1.0 + m_bar)
-    p = np.power(ratio, m_arr) / (1.0 + m_bar)
-    return float(p) if m_arr.ndim == 0 else p
-
-
 def difference_prob(delta, m_bar: float) -> float | np.ndarray:
     """Probability that two independent thermal draws differ by ``delta``.
 
@@ -119,6 +107,12 @@ def fd(zeta) -> float | np.ndarray:
     ``zeta`` is the spin-frequency difference of the two sites in units of
     the full exchange splitting.  Zero detuning gives 1; large detuning
     freezes the excitation in place and the average fidelity tends to 1/3.
+
+    Convention: with the two-site arrival amplitude |f| = s/r at the swap
+    time (r = sqrt(1 + zeta**2), s = sin(pi*r/2)) and c = |f|*cos(pi*zeta/2),
+    fd = 1/2 + c/3 + |f|**2/6 - (1 - |f|**2)/6: Bose's average, which
+    ``transfer`` reports, less the sent spin-down overlap kept when the
+    excitation stays behind.  ``fidelity``'s E_r and ``table1`` use fd.
     """
     z = np.asarray(zeta, dtype=float)
     root = np.sqrt(1.0 + z * z)
@@ -188,23 +182,18 @@ class ResidualError:
     tail_mass: float
     cutoff_cyclotron: int
     cutoff_magnetron: int
-    method: str
 
 
-def _clamp_cutoffs(mn: int, ml: int, terms_per_cell: int, max_terms: int) -> tuple[int, int]:
+def _clamp_cutoffs(mn: int, ml: int, max_terms: int) -> tuple[int, int]:
     """Shrink per-mode cutoffs proportionally to respect the term budget."""
-
-    def n_terms(a: int, b: int) -> int:
-        return ((a + 1) ** 2) * ((b + 1) ** 2) if terms_per_cell == 4 else (2 * a + 1) * (2 * b + 1)
-
-    if n_terms(mn, ml) <= max_terms:
+    if (2 * mn + 1) * (2 * ml + 1) <= max_terms:
         return mn, ml
     warnings.warn(
         "thermal-sum cutoffs exceed the term budget; clamping (tail mass will grow)",
         TruncationWarning,
         stacklevel=3,
     )
-    while n_terms(mn, ml) > max_terms and max(mn, ml) > 1:
+    while (2 * mn + 1) * (2 * ml + 1) > max_terms and max(mn, ml) > 1:
         if mn >= ml:
             mn -= max(1, mn // 10)
         else:
@@ -217,59 +206,32 @@ def error_residual(
     occ: ThermalOccupations,
     jxy: float,
     *,
-    method: str = "difference",
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ResidualError:
     """Transfer error from thermally distributed spin-frequency detunings.
 
     The detuning depends only on the differences of the two electrons'
-    cyclotron and magnetron Fock numbers, so the four-fold thermal sum
-    collapses exactly to a double sum over differences (``method
-    ="difference"``, the default).  ``method="direct"`` performs the full
-    four-fold sum and exists to validate the collapse on small cutoffs.
+    cyclotron and magnetron Fock numbers, so the four-fold thermal sum over
+    (n1, n2, l1, l2) collapses exactly to a double sum over the differences,
+    weighted by ``difference_prob``.
     """
     if jxy <= 0.0:
         raise ValueError("jxy must be positive")
-    if method not in ("difference", "direct"):
-        raise ValueError("method must be 'difference' or 'direct'")
 
-    mn, ml = _clamp_cutoffs(
-        thermal_cutoff(occ.n_bar),
-        thermal_cutoff(occ.l_bar),
-        4 if method == "direct" else 1,
-        max_terms,
-    )
+    mn, ml = _clamp_cutoffs(thermal_cutoff(occ.n_bar), thermal_cutoff(occ.l_bar), max_terms)
 
     a, b = _shift_coefficients(dq)
     scale = dq.epsilon**2 * dq.omega_z / (4.0 * jxy)
-
-    if method == "difference":
-        dn = np.arange(-mn, mn + 1)
-        dl = np.arange(-ml, ml + 1)
-        wn = difference_prob(dn, occ.n_bar)
-        wl = difference_prob(dl, occ.l_bar)
-        zeta = scale * (a * dn[:, None] - b * dl[None, :])
-        kept = float(wn.sum() * wl.sum())
-        value = 1.0 - float(wn @ fd(zeta) @ wl)
-    else:
-        n = np.arange(mn + 1)
-        l = np.arange(ml + 1)
-        pn = thermal_prob(occ.n_bar, n)
-        pl = thermal_prob(occ.l_bar, l)
-        wn_pairs = np.outer(pn, pn).ravel()
-        dn_pairs = (n[None, :] - n[:, None]).ravel()
-        wl_pairs = np.outer(pl, pl).ravel()
-        dl_pairs = (l[None, :] - l[:, None]).ravel()
-        zeta = scale * (a * dn_pairs[:, None] - b * dl_pairs[None, :])
-        kept = float(pn.sum() ** 2 * pl.sum() ** 2)
-        value = 1.0 - float(wn_pairs @ fd(zeta) @ wl_pairs)
-
+    dn = np.arange(-mn, mn + 1)
+    dl = np.arange(-ml, ml + 1)
+    wn = difference_prob(dn, occ.n_bar)
+    wl = difference_prob(dl, occ.l_bar)
+    zeta = scale * (a * dn[:, None] - b * dl[None, :])
     return ResidualError(
-        value=value,
-        tail_mass=1.0 - kept,
+        value=1.0 - float(wn @ fd(zeta) @ wl),
+        tail_mass=1.0 - float(wn.sum() * wl.sum()),
         cutoff_cyclotron=mn,
         cutoff_magnetron=ml,
-        method=method,
     )
 
 
@@ -292,7 +254,6 @@ def error_canonical_unaveraged(
     occ: ThermalOccupations,
     n_sites: int,
     theta,
-    phi: float = 0.0,
 ) -> float | np.ndarray:
     """Dressing error of a full transfer for a fixed sender orientation.
 
@@ -304,7 +265,6 @@ def error_canonical_unaveraged(
     """
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
-    del phi
     theta_arr = np.asarray(theta, dtype=float)
     wc, cyc, mag = _canonical_weights(dq)
     n = n_sites
@@ -322,16 +282,6 @@ def error_canonical_unaveraged(
     return float(val) if theta_arr.ndim == 0 else val
 
 
-def _error_canonical_closed(dq: DerivedQuantities, occ: ThermalOccupations, n: int) -> float:
-    wc, cyc, mag = _canonical_weights(dq)
-    axial = (2.0 * occ.k_bar + 1.0) / 3.0
-    motion = (wc / 6.0) * (
-        cyc * (2.0 * occ.n_bar + 1.0 + 3.0 * (n - 1) * occ.n_bar)
-        + mag * (2.0 * occ.l_bar + 1.0 + 3.0 * (n - 1) * (occ.l_bar + 1.0))
-    )
-    return axial + motion
-
-
 def error_canonical(
     dq: DerivedQuantities,
     occ: ThermalOccupations,
@@ -341,22 +291,22 @@ def error_canonical(
     """Bloch-averaged dressing error E_S of a full excitation transfer.
 
     ``CLOSED_FORM`` evaluates the analytic average; ``NUMERIC`` integrates
-    the un-averaged error over a Gauss-Legendre grid in cos(theta) times a
-    uniform azimuth grid, as an independent cross-check.
+    the un-averaged error over a 32-node Gauss-Legendre grid in cos(theta),
+    as an independent cross-check (the azimuth does not enter).
     """
     if n_sites < 2:
         raise ValueError("n_sites must be >= 2")
-    if averaging is BlochAveraging.CLOSED_FORM:
-        return _error_canonical_closed(dq, occ, n_sites)
+    if averaging is BlochAveraging.NUMERIC:
+        u, w = np.polynomial.legendre.leggauss(32)
+        return float(w @ error_canonical_unaveraged(dq, occ, n_sites, np.arccos(u)) / 2.0)
 
-    n_theta, n_phi = 32, 64
-    u, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(u)
-    phis = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    vals = np.empty((n_theta, n_phi))
-    for j, phi in enumerate(phis):
-        vals[:, j] = error_canonical_unaveraged(dq, occ, n_sites, theta, phi)
-    return float(w @ vals.mean(axis=1) / 2.0)
+    wc, cyc, mag = _canonical_weights(dq)
+    axial = (2.0 * occ.k_bar + 1.0) / 3.0
+    motion = (wc / 6.0) * (
+        cyc * (2.0 * occ.n_bar + 1.0 + 3.0 * (n_sites - 1) * occ.n_bar)
+        + mag * (2.0 * occ.l_bar + 1.0 + 3.0 * (n_sites - 1) * (occ.l_bar + 1.0))
+    )
+    return axial + motion
 
 
 def error_canonical_two_site(dq: DerivedQuantities, occ: ThermalOccupations) -> float:

@@ -3,8 +3,7 @@
 Two independent cross-checks of the chain model:
 
 (a) exact evolution of the 4x4 two-spin Hamiltonian with detuned spin
-    frequencies, certifying the detuned-swap fidelity formula and the
-    swap-amplitude relations;
+    frequencies, certifying the detuned-swap fidelity formula;
 
 (b) a truncated-Fock-space simulation of two electrons with their axial and
     cyclotron modes, the gradient-induced spin-motion couplings, and the
@@ -34,7 +33,7 @@ from .spin_chain import (
     SIGMA_Z,
     DimensionOverflow,
 )
-from .trap_model import AnomalyMode, ComplexFrequency, DerivedQuantities
+from .trap_model import AnomalyMode, ComplexFrequency, DerivedQuantities, mode_frequencies
 
 MAX_PAIR_DIMENSION = 4096
 HERMITICITY_TOL = 1e-10
@@ -194,26 +193,9 @@ def synthetic_quantities(
     """
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
-    omega_z = 1.0
-    omega_c = freq_ratio * omega_z
-    if omega_c**2 <= 2.0 * omega_z**2:
+    if freq_ratio**2 <= 2.0:
         raise ComplexFrequency("freq_ratio must exceed sqrt(2)")
-    omega_s = 0.5 * CODATA2018.g * omega_c
-    if anomaly_mode is AnomalyMode.EXACT_G:
-        omega_a = omega_s - omega_c
-    else:
-        omega_a = 1.0e-3 * omega_c
-    return DerivedQuantities(
-        omega_m=omega_z**2 / (2.0 * omega_c),
-        omega_c=omega_c,
-        omega_z=omega_z,
-        omega_s=omega_s,
-        omega_a=omega_a,
-        omega_c_tilde=math.sqrt(omega_c**2 - 2.0 * omega_z**2),
-        delta_z=0.0,
-        epsilon=epsilon,
-        anomaly_mode=anomaly_mode,
-    )
+    return mode_frequencies(float(freq_ratio), 1.0, anomaly_mode, 0.0, epsilon)
 
 
 def predicted_couplings(dq: DerivedQuantities, xi: float) -> tuple[float, float]:
@@ -391,14 +373,6 @@ def detuned_pair_hamiltonian(
 def _propagator(h: np.ndarray, t: float) -> np.ndarray:
     energies, vectors = np.linalg.eigh(h)
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
-
-
-def swap_amplitude(
-    omega1: float, omega2: float, jxy: float, jz: float, t: float
-) -> complex:
-    """Amplitude on |down, up> after evolving |up, down> for time ``t``."""
-    u = _propagator(detuned_pair_hamiltonian(omega1, omega2, jxy, jz), t)
-    return complex(u[1, 2])
 
 
 def hsd_fidelity(

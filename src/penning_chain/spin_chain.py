@@ -62,12 +62,6 @@ def basis_index(n_sites: int, up_sites: tuple[int, ...] | list[int]) -> int:
     return idx
 
 
-def basis_state(n_sites: int, up_sites: tuple[int, ...] | list[int] = ()) -> SpinState:
-    amps = np.zeros(2**n_sites, dtype=complex)
-    amps[basis_index(n_sites, tuple(up_sites))] = 1.0
-    return SpinState(amplitudes=amps, n_sites=n_sites)
-
-
 def sender_state(n_sites: int, theta: float, phi: float) -> SpinState:
     """Site 0 prepared at Bloch angles (theta, phi), the rest spin-down.
 
@@ -85,9 +79,7 @@ class SpinHamiltonian:
 
     matrix: np.ndarray
     orientation: Orientation
-    omega_s: float
     n_sites: int
-    couplings: CouplingMatrix | None = None
 
 
 def build_effective_hamiltonian(
@@ -123,13 +115,7 @@ def build_effective_hamiltonian(
         states = np.flatnonzero(bits[:, i] != bits[:, j])
         flip = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
         h[states, states ^ flip] = -2.0 * prefactor * cm.jxy[i, j]
-    return SpinHamiltonian(
-        matrix=h,
-        orientation=orientation,
-        omega_s=omega_s,
-        n_sites=n,
-        couplings=cm,
-    )
+    return SpinHamiltonian(matrix=h, orientation=orientation, n_sites=n)
 
 
 def evolve(hamiltonian: SpinHamiltonian, state: SpinState, t: float) -> SpinState:
@@ -195,6 +181,8 @@ def _curve_from_amplitude(
     vacuum phase; the overlap with the sent qubit follows in closed form.  Its
     Bloch average is 1/2 + c/3 + |f|**2/6 (Bose, PRL 91, 207901 (2003)), with
     c = |f| when the phase is compensated and Re(f exp(i E_vac t)) when not.
+    ``transfer`` reports this convention; ``fidelity_model.fd``, behind
+    ``fidelity``'s E_r, is this average less (1 - |f|**2)/6.
     """
     abs_f2 = np.abs(f_end) ** 2
     cross_raw = np.real(f_end * np.exp(1j * e_vac * t_grid))

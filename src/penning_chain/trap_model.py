@@ -115,30 +115,35 @@ def derive_quantities(params: TrapParams, *, strict: bool = True) -> DerivedQuan
             f"omega_z = {omega_z:.6g} rad/s): no stable radial motion"
         )
 
-    omega_m = omega_z**2 / (2.0 * omega_c)
-    omega_s = 0.5 * consts.g * omega_c
-    if params.anomaly_mode is AnomalyMode.EXACT_G:
+    delta_z = math.sqrt(consts.hbar / (2.0 * consts.m_e * omega_z))
+    epsilon = consts.e * params.b * delta_z / (consts.m_e * omega_z)
+    dq = mode_frequencies(omega_c, omega_z, params.anomaly_mode, delta_z, epsilon)
+    _check_hierarchy("magnetron vs axial", omega_z / dq.omega_m, strict)
+    _check_hierarchy("axial vs cyclotron", omega_c / omega_z, strict)
+    return dq
+
+
+def mode_frequencies(
+    omega_c: float, omega_z: float, anomaly_mode: AnomalyMode, delta_z: float, epsilon: float
+) -> DerivedQuantities:
+    """The derived set around a bare cyclotron and axial frequency: adds the
+    magnetron, spin, anomaly and shifted cyclotron frequencies.  The caller
+    checks radial stability and supplies delta_z and epsilon."""
+    omega_s = 0.5 * CODATA2018.g * omega_c
+    if anomaly_mode is AnomalyMode.EXACT_G:
         omega_a = omega_s - omega_c
     else:
         omega_a = 1e-3 * omega_c
-    omega_c_tilde = math.sqrt(omega_c**2 - 2.0 * omega_z**2)
-
-    delta_z = math.sqrt(consts.hbar / (2.0 * consts.m_e * omega_z))
-    epsilon = consts.e * params.b * delta_z / (consts.m_e * omega_z)
-
-    _check_hierarchy("magnetron vs axial", omega_z / omega_m, strict)
-    _check_hierarchy("axial vs cyclotron", omega_c / omega_z, strict)
-
     return DerivedQuantities(
-        omega_m=omega_m,
+        omega_m=omega_z**2 / (2.0 * omega_c),
         omega_c=omega_c,
         omega_z=omega_z,
         omega_s=omega_s,
         omega_a=omega_a,
-        omega_c_tilde=omega_c_tilde,
+        omega_c_tilde=math.sqrt(omega_c**2 - 2.0 * omega_z**2),
         delta_z=delta_z,
         epsilon=epsilon,
-        anomaly_mode=params.anomaly_mode,
+        anomaly_mode=anomaly_mode,
     )
 
 

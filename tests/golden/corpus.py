@@ -101,6 +101,16 @@ def corpus() -> list[Call]:
         _cli("refuse1-bad-flag", "freqs", "--mode", "bogus"),
         _cli("refuse1-bad-theta", "transfer", "--config", "configs/bad_theta.ini"),
         _cli("refuse1-oversized-sweep", "sweep", "--config", "configs/sweep_oversized.ini"),
+        # a number that is not finite, one call per place a config number is read
+        _cli("refuse1-nonfinite-fc", "freqs", "--config", "configs/nonfinite_fc.ini"),
+        _cli("refuse1-nonfinite-temperature", "fidelity", "--config",
+             "configs/nonfinite_temperature.ini"),
+        _cli("refuse1-nonfinite-lbar", "fidelity", "--config", "configs/nonfinite_lbar.ini"),
+        _cli("refuse1-nonfinite-oracle", "oracle", "--config", "configs/nonfinite_oracle.ini"),
+        _cli("refuse1-nonfinite-positions", "couplings", "--config",
+             "configs/nonfinite_positions.ini"),
+        _cli("refuse1-nonfinite-sweep", "sweep", "--config", "configs/nonfinite_sweep.ini"),
+        _cli("refuse1-nonfinite-theta", "transfer", "--config", "configs/nonfinite_theta.ini"),
         _cli("refuse2-hierarchy", "freqs", "--config", "configs/hierarchy_broken.ini"),
         _cli("refuse2-unstable", "couplings", "--config", "configs/unstable.ini"),
         _cli("refuse3-oracle", "oracle", "--config", "configs/oracle_fail.ini"),

@@ -123,6 +123,71 @@ class TestRunConfig:
         assert capsys.readouterr().err.startswith("error:")
 
 
+NONFINITE_BASE = {
+    "trap": {"f_c": "8e9", "f_z": "490e6", "gradient": "1800"},
+    "chain": {"spacing": "10e-6"},
+    "thermal": {"temperature": "0.080", "l_bar": "2.0"},
+    "sweep": {"axes": "gradient", "gradient": "600:1800:3"},
+}
+# Every place a command reads a config number: (command, section, key,
+# value template, base keys the value replaces, [trap] keys it needs).
+NONFINITE_READS = [
+    ("freqs", "trap", "f_c", "{}", ("f_c",), {}),
+    ("freqs", "trap", "b0", "{}", ("f_c",), {}),
+    ("freqs", "trap", "f_z", "{}", ("f_z",), {}),
+    ("freqs", "trap", "omega_z", "{}", ("f_z",), {}),
+    ("freqs", "trap", "v0", "{}", ("f_z",), {"ell": "1e-3"}),
+    ("freqs", "trap", "ell", "{}", ("f_z",), {"v0": "5"}),
+    ("freqs", "trap", "gradient", "{}", (), {}),
+    ("freqs", "chain", "spacing", "{}", (), {}),
+    ("freqs", "chain", "positions", "0, 1e-5, {}", ("spacing",), {}),
+    ("freqs", "thermal", "l_bar", "{}", (), {}),
+    ("fidelity", "thermal", "temperature", "{}", (), {}),
+    ("fidelity", "thermal", "k_bar", "{}", ("temperature",), {}),
+    ("fidelity", "thermal", "n_bar", "{}", ("temperature",), {}),
+    ("transfer", "transfer", "theta", "{}", (), {}),
+    ("transfer", "transfer", "phi", "{}", (), {}),
+    ("transfer", "transfer", "t_max", "{}", (), {}),
+    ("sweep", "sweep", "gradient", "{}:1800:3", (), {}),
+    ("sweep", "sweep", "gradient", "600:{}:3", (), {}),
+    ("oracle", "oracle", "epsilon", "{}", (), {}),
+    ("oracle", "oracle", "freq_ratio", "{}", (), {}),
+    ("oracle", "oracle", "xi_over_omega_z", "{}", (), {}),
+    ("oracle", "oracle", "tolerance", "{}", (), {}),
+]
+
+
+def _nonfinite_ini(section, key, value, drop, extra):
+    sections = {name: dict(keys) for name, keys in NONFINITE_BASE.items()}
+    for keys in sections.values():
+        for name in drop:
+            keys.pop(name, None)
+    sections["trap"].update(extra)
+    sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+@pytest.mark.parametrize("number", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize(
+    "command, section, key, template, drop, extra",
+    NONFINITE_READS,
+    ids=[f"{c}-{s}.{k}" + ("" if t == "{}" else f"-{t.replace('{}', 'V')}")
+         for c, s, k, t, _, _ in NONFINITE_READS],
+)
+def test_nonfinite_config_number_is_an_input_error(
+    tmp_path, capsys, command, section, key, template, drop, extra, number
+):
+    ini = _nonfinite_ini(section, key, template.format(number), drop, extra)
+    for fmt in ("csv", "json"):
+        assert main([command, "--config", write_config(tmp_path, ini), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "must be finite" in captured.err
+
+
 class TestExitCodes:
     def test_ok(self, base_config, capsys):
         assert main(["freqs", "--config", base_config]) == 0

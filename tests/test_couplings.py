@@ -112,8 +112,15 @@ class TestChainGeometry:
         geom = uniform_chain(4, 10e-6)
         assert geom.n_sites == 4
         assert geom.positions == pytest.approx((0.0, 10e-6, 20e-6, 30e-6))
-        assert geom.distance(0, 3) == pytest.approx(30e-6)
+        assert geom.min_spacing == pytest.approx(10e-6)
         assert geom.orientation is Orientation.AXIAL_Z
+
+    def test_min_spacing_is_smallest_pair_distance(self):
+        geom = ChainGeometry(
+            orientation=Orientation.AXIAL_Z, positions=(-3e-6, 1e-5, 1.7e-5, 4e-5)
+        )
+        d = geom.distances()
+        assert geom.min_spacing == d[d > 0.0].min() == 1.7e-5 - 1e-5
 
     def test_distance_matrix_symmetry(self):
         geom = ChainGeometry(
@@ -143,13 +150,6 @@ class TestCouplingMatrix:
         per_site = coupling_matrix([case_a] * 3, geom)
         assert np.allclose(scalar.jz, per_site.jz, rtol=1e-15)
         assert np.allclose(scalar.jxy, per_site.jxy, rtol=1e-15)
-
-    def test_nearest_neighbor_only(self, case_a):
-        geom = uniform_chain(4, 10e-6)
-        cm = coupling_matrix(case_a, geom, nearest_neighbor_only=True)
-        assert cm.jxy[0, 1] > 0.0
-        assert cm.jxy[0, 2] == 0.0
-        assert cm.jxy[0, 3] == 0.0
 
     def test_mismatched_site_count_rejected(self, case_a):
         geom = uniform_chain(3, 10e-6)
@@ -182,7 +182,7 @@ class TestCouplingMatrix:
         assert float(fields[4]) == pytest.approx(cm.jxy[0, 1], rel=1e-11)
 
 
-def pairwise_reference(site_dq, geom, nearest_neighbor_only):
+def pairwise_reference(site_dq, geom):
     """(xi, jz, jxy) pair by pair from the scalar formulas, with the
     geometric mean of the two sites' values for unequal traps."""
     n = geom.n_sites
@@ -190,8 +190,6 @@ def pairwise_reference(site_dq, geom, nearest_neighbor_only):
     out = np.zeros((3, n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            if nearest_neighbor_only and j != i + 1:
-                continue
             d = dist[i, j]
             values_i = (coulomb_scale(site_dq[i], d), *pair_coupling_strengths(site_dq[i], d))
             values_j = (coulomb_scale(site_dq[j], d), *pair_coupling_strengths(site_dq[j], d))
@@ -216,10 +214,9 @@ traps = st.builds(
     start=st.floats(-1e-4, 1e-4),
     pool=st.lists(traps, min_size=1, max_size=3),
     per_site=st.booleans(),
-    nearest=st.booleans(),
     data=st.data(),
 )
-def test_array_couplings_equal_pairwise_formulas_bitwise(gaps, start, pool, per_site, nearest, data):
+def test_array_couplings_equal_pairwise_formulas_bitwise(gaps, start, pool, per_site, data):
     geom = ChainGeometry(Orientation.AXIAL_Z, tuple(np.cumsum([start, *gaps]).tolist()))
     n = geom.n_sites
     if per_site:
@@ -227,8 +224,8 @@ def test_array_couplings_equal_pairwise_formulas_bitwise(gaps, start, pool, per_
         arg = site_dq
     else:
         site_dq, arg = [pool[0]] * n, pool[0]
-    cm = coupling_matrix(arg, geom, nearest_neighbor_only=nearest, force=True)
-    ref = pairwise_reference(site_dq, geom, nearest)
+    cm = coupling_matrix(arg, geom, force=True)
+    ref = pairwise_reference(site_dq, geom)
     for got, want in zip((cm.xi, cm.jz, cm.jxy), ref):
         assert got.tobytes() == want.tobytes()
 

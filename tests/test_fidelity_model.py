@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import case_a_params
 from penning_chain.constants import CODATA2018
-from penning_chain.couplings import pair_coupling_strengths
+from penning_chain.couplings import (
+    coupling_matrix,
+    pair_coupling_strengths,
+    swap_time,
+    uniform_chain,
+)
 from penning_chain.fidelity_model import (
     BlochAveraging,
     ThermalOccupations,
@@ -22,10 +29,10 @@ from penning_chain.fidelity_model import (
     occupation_from_temperature,
     spin_shift,
     thermal_cutoff,
-    thermal_prob,
     total_fidelity,
     transition_probabilities,
 )
+from penning_chain.spin_chain import single_excitation_block
 from penning_chain.trap_model import (
     AnomalyMode,
     coulomb_scale,
@@ -33,6 +40,27 @@ from penning_chain.trap_model import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def thermal_prob(m_bar, m):
+    """Probability of the m-th Fock state in a thermal state with mean m_bar."""
+    ratio = m_bar / (1.0 + m_bar)
+    return np.power(ratio, np.asarray(m)) / (1.0 + m_bar)
+
+
+def residual_four_fold(dq, occ, jxy, mn, ml):
+    """E_r and its tail mass from the full thermal sum over (n1, n2, l1, l2)
+    up to the cutoffs: the reference for the collapse in ``error_residual``.
+    The detunings come from ``delta_s``, independently of the collapsed sum."""
+    n = np.arange(mn + 1)
+    l = np.arange(ml + 1)
+    pn = thermal_prob(occ.n_bar, n)
+    pl = thermal_prob(occ.l_bar, l)
+    n1, n2, l1, l2 = np.ix_(n, n, l, l)
+    weights = np.einsum("a,b,c,d->abcd", pn, pn, pl, pl)
+    zeta = delta_s(dq, n1, l1, n2, l2) / (4.0 * jxy)
+    value = 1.0 - float(np.sum(weights * fd(zeta)))
+    return value, 1.0 - float(pn.sum() ** 2 * pl.sum() ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +133,32 @@ class TestDephasingFactor:
     def test_large_detuning_limit(self):
         assert fd(1e6) == pytest.approx(1.0 / 3.0, rel=1e-5)
 
+    def test_fd_is_the_overlap_part_of_the_two_site_bloch_average(self, case_a):
+        # fd = 1/2 + c/3 + |f|^2/6 - (1 - |f|^2)/6: the Bose average that
+        # transfer reports, less the overlap kept when the excitation stays
+        # behind.  f is the two-site arrival amplitude at the swap time with
+        # the receiver detuned by zeta exchange splittings (4 Jxy), its phase
+        # referred to the sender's frame, and c its overlap with the ideal
+        # resonant arrival.
+        cm = coupling_matrix(case_a, uniform_chain(2, 10e-6))
+        jxy = float(cm.jxy[0, 1])
+        t = swap_time(jxy)
+        _, block = single_excitation_block(cm, case_a.omega_s)
+
+        def arrival(zeta):
+            energies, vectors = np.linalg.eigh(block + np.diag([0.0, 4.0 * jxy * zeta]))
+            f = vectors[1] @ (np.exp(-1j * energies * t) * vectors[0])
+            return f * np.exp(1j * block[0, 0] * t)
+
+        ideal = arrival(0.0)
+        assert abs(ideal) == pytest.approx(1.0, abs=1e-14)
+        for zeta in np.linspace(-4.0, 4.0, 33):
+            f = arrival(zeta)
+            c = (f * np.conj(ideal)).real
+            abs_f2 = abs(f) ** 2
+            bose_less_stay = 0.5 + c / 3.0 + abs_f2 / 6.0 - (1.0 - abs_f2) / 6.0
+            assert fd(zeta) == pytest.approx(bose_less_stay, abs=1e-14)
+
     def test_vectorized_matches_scalar(self):
         z = np.array([0.0, 0.5, 1.0, 2.0])
         vec = fd(z)
@@ -156,11 +210,11 @@ class TestResidualError:
 
     def test_difference_and_direct_methods_agree(self, case_a, occ_a):
         jxy = 2.1605828877e4
-        diff = error_residual(case_a, occ_a, jxy, method="difference")
-        direct = error_residual(case_a, occ_a, jxy, method="direct")
-        assert diff.method == "difference"
-        assert direct.method == "direct"
-        assert diff.value == pytest.approx(direct.value, rel=1e-6, abs=1e-9)
+        diff = error_residual(case_a, occ_a, jxy)
+        direct, _ = residual_four_fold(
+            case_a, occ_a, jxy, diff.cutoff_cyclotron, diff.cutoff_magnetron
+        )
+        assert diff.value == pytest.approx(direct, rel=1e-6, abs=1e-9)
 
     def test_monotone_decreasing_in_coupling(self, case_a, occ_a):
         values = [
@@ -175,9 +229,24 @@ class TestResidualError:
         assert res.tail_mass > 0.0
         assert 0.0 <= res.value < 1.0
 
-    def test_rejects_unknown_method(self, case_a, occ_a):
-        with pytest.raises(ValueError):
-            error_residual(case_a, occ_a, 2.16e4, method="bogus")
+
+CASE_A = derive_quantities(case_a_params())
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n_bar=st.floats(0.0, 0.4),
+    l_bar=st.floats(0.0, 0.4),
+    jxy=st.floats(2e3, 2e5),
+)
+def test_residual_collapse_equals_four_fold_sum(n_bar, l_bar, jxy):
+    occ = ThermalOccupations(k_bar=0.0, n_bar=n_bar, l_bar=l_bar)
+    res = error_residual(CASE_A, occ, jxy)
+    ref, ref_tail = residual_four_fold(
+        CASE_A, occ, jxy, res.cutoff_cyclotron, res.cutoff_magnetron
+    )
+    # each truncated sum misses at most its own tail mass (0 <= fd <= 1)
+    assert abs(res.value - ref) <= res.tail_mass + ref_tail + 1e-12
 
 
 class TestCanonicalError:
@@ -195,12 +264,6 @@ class TestCanonicalError:
         closed = error_canonical(case_a, occ, n_sites, BlochAveraging.CLOSED_FORM)
         numeric = error_canonical(case_a, occ, n_sites, BlochAveraging.NUMERIC)
         assert numeric == pytest.approx(closed, rel=1e-6)
-
-    def test_unaveraged_ignores_azimuth(self, case_a):
-        occ = ThermalOccupations(k_bar=1.0, n_bar=0.5, l_bar=2.0)
-        a = error_canonical_unaveraged(case_a, occ, 3, 1.1, 0.0)
-        b = error_canonical_unaveraged(case_a, occ, 3, 1.1, 2.5)
-        assert a == b
 
     def test_unaveraged_vectorizes_over_theta(self, case_a):
         occ = ThermalOccupations(k_bar=1.0, n_bar=0.5, l_bar=2.0)

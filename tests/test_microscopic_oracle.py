@@ -16,11 +16,17 @@ from penning_chain.microscopic_oracle import (
     hsd_fidelity,
     predicted_couplings,
     run_validation_suite,
-    swap_amplitude,
     synthetic_quantities,
 )
 from penning_chain.spin_chain import DimensionOverflow
 from penning_chain.trap_model import ComplexFrequency
+
+
+def swap_amplitude(omega1, omega2, jxy, jz, t):
+    """Amplitude on |down, up> after evolving |up, down> for time ``t``."""
+    energies, vectors = np.linalg.eigh(detuned_pair_hamiltonian(omega1, omega2, jxy, jz))
+    u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+    return complex(u[1, 2])
 
 
 class TestFockTruncation:

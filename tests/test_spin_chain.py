@@ -18,7 +18,6 @@ from penning_chain.spin_chain import (
     MAX_SITES,
     SpinState,
     basis_index,
-    basis_state,
     build_effective_hamiltonian,
     evolve,
     sender_state,
@@ -84,6 +83,13 @@ def test_bit_built_hamiltonian_matches_kronecker_reference(case):
     ref = kron_hamiltonian(cm, omega_s, cm.orientation)
     assert h.matrix.dtype == np.float64
     assert np.max(np.abs(h.matrix - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def basis_state(n_sites, up_sites=()):
+    """Product state with the given sites spin-up and the rest spin-down."""
+    amps = np.zeros(2**n_sites, dtype=complex)
+    amps[basis_index(n_sites, tuple(up_sites))] = 1.0
+    return SpinState(amplitudes=amps, n_sites=n_sites)
 
 
 def _bloch_quadrature(abs_f2, cross, n_theta=16, n_phi=32):

@@ -196,8 +196,7 @@ def cmd_freqs(cfg: RunConfig, args) -> _Output:
     if cfg.has("chain", "spacing") or cfg.has("chain", "positions"):
         geom = cfg.geometry(cfg.orientation(args.orientation))
         xi = coulomb_scale(dq, geom.min_spacing)
-    l_bar = cfg.get("thermal", "l_bar", default=0.0)
-    report = validate_regime(dq, xi=xi, l_bar=l_bar)
+    report = validate_regime(dq, xi=xi, l_bar=cfg.l_bar())
 
     quantities = {
         name: getattr(dq, name)
@@ -236,8 +235,7 @@ def cmd_couplings(cfg: RunConfig, args) -> _Output:
     orientation = cfg.orientation(args.orientation)
     dq = derive_quantities(cfg.trap_params(mode))
     geom = cfg.geometry(orientation)
-    l_bar = cfg.get("thermal", "l_bar", default=0.0)
-    cm = coupling_matrix(dq, geom, l_bar=l_bar)
+    cm = coupling_matrix(dq, geom, l_bar=cfg.l_bar())
 
     def csv_text() -> str:
         buf = io.StringIO()
@@ -271,8 +269,7 @@ def cmd_transfer(cfg: RunConfig, args) -> _Output:
     orientation = cfg.orientation(args.orientation)
     dq = derive_quantities(cfg.trap_params(mode))
     geom = cfg.geometry(orientation)
-    l_bar = cfg.get("thermal", "l_bar", default=0.0)
-    cm = coupling_matrix(dq, geom, l_bar=l_bar)
+    cm = coupling_matrix(dq, geom, l_bar=cfg.l_bar())
 
     theta_raw = cfg.get("transfer", "theta", cast=str, default="average")
     bloch = theta_raw == "average"
@@ -291,6 +288,8 @@ def cmd_transfer(cfg: RunConfig, args) -> _Output:
         raise ZeroCoupling("nearest-neighbor flip-flop coupling is zero; no transfer")
     t_default = 2.0 * (geom.n_sites - 1) * swap_time(jxy_nn)
     t_max = cfg.get("transfer", "t_max", default=t_default)
+    if t_max <= 0.0:
+        raise ConfigError("[transfer] t_max must be > 0")
     n_points = cfg.get("transfer", "n_points", cast=int, default=512)
     if n_points < 2:
         raise ConfigError("[transfer] n_points must be >= 2")
@@ -457,15 +456,16 @@ def cmd_sweep(cfg: RunConfig, args) -> _Output:
         raise ConfigError("sweep needs [chain] spacing unless spacing is an axis")
 
     nan = float("nan")
+    fixed_spacing = cfg.get("chain", "spacing", default=nan)
     out_rows = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = dict(zip(axis_names, (float(v) for v in combo)))
-        d = point.get("spacing", cfg.get("chain", "spacing", default=nan))
-        params = cfg.trap_params(mode, point)
-        with warnings.catch_warnings():
-            # marginal grid points are expected; the regime_ok column is
-            # the per-point verdict
-            warnings.simplefilter("ignore", UserWarning)
+    with warnings.catch_warnings():
+        # marginal grid points are expected; the regime_ok column is the
+        # per-point verdict
+        warnings.simplefilter("ignore", UserWarning)
+        for combo in itertools.product(*(vals for _, vals in axes)):
+            point = dict(zip(axis_names, (float(v) for v in combo)))
+            d = point.get("spacing", fixed_spacing)
+            params = cfg.trap_params(mode, point)
             try:
                 dq = derive_quantities(params, strict=False)
             except ComplexFrequency:
@@ -483,10 +483,10 @@ def cmd_sweep(cfg: RunConfig, args) -> _Output:
                 es2 = report.error_canonical_scaled
             else:
                 t_ex = f_total = e_r = es2 = nan
-        out_rows.append(
-            (params.b, d, dq.omega_z, dq.omega_c, jxy, t_ex, f_total, e_r, es2,
-             int(regime_ok))
-        )
+            out_rows.append(
+                (params.b, d, dq.omega_z, dq.omega_c, jxy, t_ex, f_total, e_r, es2,
+                 int(regime_ok))
+            )
 
     header = "b,d,omega_z,omega_c,jxy,t_ex,f_total,e_r,eps2_e_s,regime_ok"
     return _Output(
@@ -502,18 +502,16 @@ def cmd_sweep(cfg: RunConfig, args) -> _Output:
 def cmd_oracle(cfg: RunConfig, args) -> _Output:
     mode = cfg.anomaly_mode(args.mode)
     orientation = cfg.orientation(args.orientation)
-    trunc = FockTruncation(
-        n_max=cfg.get("oracle", "n_max", cast=int, default=3),
-        k_max=cfg.get("oracle", "k_max", cast=int, default=3),
-    )
+
+    def given(cast, *keys) -> dict:
+        # only the keys the config sets: the suite owns every default
+        return {key: cfg.get("oracle", key, cast=cast) for key in keys if cfg.has("oracle", key)}
+
     report = run_validation_suite(
-        epsilon=cfg.get("oracle", "epsilon", default=0.025),
-        freq_ratio=cfg.get("oracle", "freq_ratio", default=15.0),
-        xi_over_omega_z=cfg.get("oracle", "xi_over_omega_z", default=0.01),
-        trunc=trunc,
+        trunc=FockTruncation(**given(int, "n_max", "k_max")),
         orientation=orientation,
         anomaly_mode=mode,
-        tolerance=cfg.get("oracle", "tolerance", default=0.15),
+        **given(float, "epsilon", "freq_ratio", "xi_over_omega_z", "tolerance"),
     )
     return _Output(
         _meta("oracle", mode, orientation),

@@ -4,7 +4,8 @@ Flat INI-style files with section headers; the schema below is the
 authority — unknown sections or keys are rejected rather than ignored, so a
 typo cannot silently fall back to a default.  Values are read literally (a
 ``%`` is not an interpolation), and every number must be finite (``inf`` and
-``nan`` are input errors).  A sweep point's axis values replace the
+``nan`` are input errors); a negative ``l_bar`` and a ``t_max`` at or below
+zero are input errors too.  A sweep point's axis values replace the
 [trap] keys for the same quantity; every other [trap] rule is the one all
 commands apply.
 
@@ -20,15 +21,15 @@ commands apply.
 
     [thermal]
     temperature = 0.080  # K, sets axial and cyclotron occupations
-    l_bar = 2.0          # magnetron occupation, always explicit
+    l_bar = 2.0          # magnetron occupation, >= 0, always explicit
 
     [run]
     mode = exact         # exact | approx anomaly frequency
 
     [transfer]
     theta = average      # Bloch polar angle in radians, or "average"
-    phi = 0.0
-    t_max = 1e-4         # s (default: twice the end-to-end swap time)
+    phi = 0.0            # accepted, but no printed curve depends on it
+    t_max = 1e-4         # s, > 0 (default: twice the end-to-end swap time)
     n_points = 512       # curves come from the exact one-excitation block
 
     [sweep]
@@ -36,13 +37,11 @@ commands apply.
     gradient = 100:2000:20    # start:stop:count (linear)
     spacing = 3e-6:50e-6:20
 
-    [oracle]
-    epsilon = 0.025
-    freq_ratio = 15
-    xi_over_omega_z = 0.01
-    n_max = 3
-    k_max = 3
-    tolerance = 0.15
+    [oracle]             # two electrons in identical traps; every key is
+    k_max = 4            # optional, and one left out takes the default of
+    tolerance = 0.2      # run_validation_suite (epsilon, freq_ratio,
+                         # xi_over_omega_z, tolerance) or FockTruncation
+                         # (n_max, k_max)
 """
 
 from __future__ import annotations
@@ -202,6 +201,13 @@ class RunConfig:
         spacing = self.get("chain", "spacing")
         return uniform_chain(n_sites, spacing, orientation)
 
+    def l_bar(self) -> float:
+        """Magnetron occupation from [thermal] l_bar (0 when absent)."""
+        value = self.get("thermal", "l_bar", default=0.0)
+        if value < 0.0:
+            raise ConfigError("[thermal] l_bar must be >= 0")
+        return value
+
     def occupations(self, dq: DerivedQuantities) -> ThermalOccupations:
         has_temp = self.has("thermal", "temperature")
         has_explicit = self.has("thermal", "k_bar") or self.has("thermal", "n_bar")
@@ -209,7 +215,7 @@ class RunConfig:
             raise ConfigError(
                 "give either a temperature or explicit k_bar/n_bar in [thermal], not both"
             )
-        l_bar = self.get("thermal", "l_bar", default=0.0)
+        l_bar = self.l_bar()
         if has_temp:
             return ThermalOccupations.from_temperature(
                 dq, self.get("thermal", "temperature"), l_bar=l_bar

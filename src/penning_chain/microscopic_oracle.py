@@ -5,10 +5,11 @@ Two independent cross-checks of the chain model:
 (a) exact evolution of the 4x4 two-spin Hamiltonian with detuned spin
     frequencies, certifying the detuned-swap fidelity formula;
 
-(b) a truncated-Fock-space simulation of two electrons with their axial and
-    cyclotron modes, the gradient-induced spin-motion couplings, and the
-    inter-trap Coulomb terms, certifying that the effective flip-flop and
-    Ising couplings emerge with the predicted magnitude.
+(b) a truncated-Fock-space simulation of two electrons in identical traps,
+    with their axial and cyclotron modes, the gradient-induced spin-motion
+    couplings, and the inter-trap Coulomb terms, certifying that the
+    effective flip-flop and Ising couplings emerge with the predicted
+    magnitude.
 
 The Fock oracle runs in scaled units (axial frequency = 1) with deliberately
 exaggerated coupling so the effect is resolvable at small cutoffs; the
@@ -26,14 +27,15 @@ import numpy as np
 
 from .constants import CODATA2018
 from .couplings import Orientation, pair_coupling_strengths
-from .spin_chain import (
-    IDENTITY_2,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_Z,
-    DimensionOverflow,
-)
+from .fidelity_model import fd
+from .spin_chain import DimensionOverflow
 from .trap_model import AnomalyMode, ComplexFrequency, DerivedQuantities, mode_frequencies
+
+# Per-spin operators in the (down, up) basis.
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
 
 MAX_PAIR_DIMENSION = 4096
 HERMITICITY_TOL = 1e-10
@@ -54,8 +56,8 @@ class StateTrackingFailure(RuntimeError):
 class FockTruncation:
     """Retained Fock levels per mode: indices 0..n_max (cyclotron), 0..k_max (axial)."""
 
-    n_max: int
-    k_max: int
+    n_max: int = 3
+    k_max: int = 3
 
     def __post_init__(self) -> None:
         if self.n_max < 1 or self.k_max < 1:
@@ -88,16 +90,17 @@ class MicroscopicSystem:
 
     Each electron's space is the spin (x) cyclotron (x) axial product, in
     that tensor order with the (down, up) spin basis, and electron 0 is the
-    more significant factor of the pair space.  The Hamiltonian is in rad/s.
-    ``n_exc_diag`` is the diagonal of the conserved excitation counter
-    (cyclotron quanta plus up spins).
+    more significant factor of the pair space; both sit in identical traps
+    described by ``dq``.  The Hamiltonian is in rad/s.  ``n_exc_diag`` is
+    the diagonal of the conserved excitation counter (cyclotron quanta plus
+    up spins).
     """
 
     hamiltonian: np.ndarray
     n_exc_diag: np.ndarray
     trunc: FockTruncation
     orientation: Orientation
-    quantities: tuple[DerivedQuantities, DerivedQuantities]
+    dq: DerivedQuantities
     xi: float
 
     def spin_ground_index(self, spin1: int, spin2: int) -> int:
@@ -111,22 +114,17 @@ class MicroscopicSystem:
 
 
 def build_microscopic(
-    dq: DerivedQuantities | tuple[DerivedQuantities, DerivedQuantities],
-    xi: float,
-    orientation: Orientation,
-    trunc: FockTruncation,
+    dq: DerivedQuantities, xi: float, orientation: Orientation, trunc: FockTruncation
 ) -> MicroscopicSystem:
     """Assemble the untransformed two-electron Hamiltonian in truncated Fock space.
 
-    Per electron: cyclotron and axial oscillators, the spin splitting, the
+    Both electrons sit in identical traps described by ``dq``.  Per
+    electron: cyclotron and axial oscillators, the spin splitting, the
     gradient coupling of the axial position to the spin, and the
     co-rotating spin-cyclotron exchange.  Across the pair: the dipolar
     axial position-position term and the co-rotating cyclotron exchange,
     with relative weights set by the array orientation.
     """
-    dqs = (dq, dq) if isinstance(dq, DerivedQuantities) else tuple(dq)
-    if len(dqs) != 2:
-        raise ValueError("dq must be one DerivedQuantities or a pair")
     if xi < 0.0:
         raise ValueError("xi must be >= 0")
 
@@ -143,21 +141,16 @@ def build_microscopic(
     num_k = az.conj().T @ az
     xz = az + az.conj().T
 
-    def single_particle(q: DerivedQuantities) -> np.ndarray:
-        drive = 0.25 * CODATA2018.g * q.epsilon * q.omega_z
-        h = q.omega_c * num_c + q.omega_z * num_k + 0.5 * q.omega_s * sz
-        h = h + drive * (xz @ sz)
-        h = h - drive * math.sqrt(q.omega_z / q.omega_c_tilde) * (sp @ ac + sm @ ac.conj().T)
-        return h
+    cyc_weight = dq.omega_z / dq.omega_c_tilde
+    drive = 0.25 * CODATA2018.g * dq.epsilon * dq.omega_z
+    h1 = dq.omega_c * num_c + dq.omega_z * num_k + 0.5 * dq.omega_s * sz
+    h1 = h1 + drive * (xz @ sz)
+    h1 = h1 - drive * math.sqrt(cyc_weight) * (sp @ ac + sm @ ac.conj().T)
 
-    dim_single = trunc.single_dimension
-    eye_single = np.eye(dim_single, dtype=complex)
-    h = np.kron(single_particle(dqs[0]), eye_single)
-    h += np.kron(eye_single, single_particle(dqs[1]))
+    eye_single = np.eye(trunc.single_dimension, dtype=complex)
+    h = np.kron(h1, eye_single)
+    h += np.kron(eye_single, h1)
 
-    cyc_weight = math.sqrt(
-        (dqs[0].omega_z / dqs[0].omega_c_tilde) * (dqs[1].omega_z / dqs[1].omega_c_tilde)
-    )
     cyc_exchange = np.kron(ac, ac.conj().T) + np.kron(ac.conj().T, ac)
     sign = orientation.block_sign
     h += 2.0 * sign * xi * np.kron(xz, xz) - 2.0 * sign * xi * cyc_weight * cyc_exchange
@@ -175,7 +168,7 @@ def build_microscopic(
         n_exc_diag=n_exc,
         trunc=trunc,
         orientation=orientation,
-        quantities=dqs,
+        dq=dq,
         xi=xi,
     )
 
@@ -228,11 +221,6 @@ def _sector_position(sector: np.ndarray, full_index: int) -> int:
     return int(pos)
 
 
-def _mean_predicted_jxy(sys: MicroscopicSystem) -> float:
-    preds = [predicted_couplings(q, sys.xi)[1] for q in sys.quantities]
-    return math.sqrt(preds[0] * preds[1]) if all(p > 0 for p in preds) else 0.0
-
-
 def extract_effective_jxy(
     sys: MicroscopicSystem,
     *,
@@ -267,12 +255,12 @@ def extract_effective_jxy(
             k_anti = int(order[1]) if len(order) > 1 else k_sym
         return float(energies[k_sym] - energies[k_anti]) / (-4.0 * sign)
 
-    jxy_pred = _mean_predicted_jxy(sys)
+    jxy_pred = predicted_couplings(sys.dq, sys.xi)[1]
     if jxy_pred > 0.0:
         # two periods of the predicted oscillation, at rate |block_sign| * J
         t_span = math.pi / (abs(sign) * jxy_pred)
     else:
-        base = sys.xi if sys.xi > 0 else min(q.omega_z for q in sys.quantities)
+        base = sys.xi if sys.xi > 0 else sys.dq.omega_z
         t_span = 2.0 * math.pi / base
     t = np.linspace(0.0, t_span, FIT_POINTS)
     amp = (vectors[targ, :] * vectors[init, :].conj()) @ np.exp(
@@ -473,7 +461,7 @@ def run_validation_suite(
     epsilon: float = 0.025,
     freq_ratio: float = 15.0,
     xi_over_omega_z: float = 0.01,
-    trunc: FockTruncation | tuple[int, int] = (3, 3),
+    trunc: FockTruncation = FockTruncation(),
     orientation: Orientation = Orientation.AXIAL_Z,
     anomaly_mode: AnomalyMode = AnomalyMode.EXACT_G,
     tolerance: float = 0.15,
@@ -485,8 +473,6 @@ def run_validation_suite(
     swap fidelity against its closed form, and tabulates the convergence of
     the splitting-based coupling as the axial cutoff grows.
     """
-    if not isinstance(trunc, FockTruncation):
-        trunc = FockTruncation(*trunc)
     dq = synthetic_quantities(epsilon, freq_ratio, anomaly_mode)
     xi = xi_over_omega_z * dq.omega_z
     sys = build_microscopic(dq, xi, orientation, trunc)
@@ -531,8 +517,6 @@ def run_validation_suite(
         OracleCheck("resonant swap fidelity", 1.0, resonant, abs(resonant - 1.0), 1e-12,
                     abs(resonant - 1.0) <= 1e-12)
     )
-    from .fidelity_model import fd
-
     detuned = hsd_fidelity(0.0, 4.0 * jxy_ref, jxy_ref, jz_pred, t_ex)
     target = fd(1.0)
     checks.append(
@@ -542,7 +526,9 @@ def run_validation_suite(
 
     convergence = []
     for k_max in range(1, trunc.k_max + 2):
-        sys_k = build_microscopic(dq, xi, orientation, FockTruncation(trunc.n_max, k_max))
+        sys_k = sys if k_max == trunc.k_max else build_microscopic(
+            dq, xi, orientation, FockTruncation(trunc.n_max, k_max)
+        )
         convergence.append((k_max, extract_effective_jxy(sys_k, method="splitting")))
     steps = [abs(b[1] - a[1]) for a, b in zip(convergence, convergence[1:])]
     monotone = all(s2 < s1 for s1, s2 in zip(steps, steps[1:]))

@@ -16,12 +16,6 @@ import numpy as np
 
 from .couplings import CouplingMatrix, Orientation
 
-# Per-site operators in the (down, up) basis.
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 # Dense-representation cap: the largest chain whose build plus ``eigh`` fits
 # in 2 s and 256 MB peak memory on one BLAS thread.  Measured on a 2-core
 # Xeon with OpenBLAS: N = 11 (2048 x 2048, real) takes 0.01 s + 1.5 s and

@@ -3,7 +3,8 @@
 Every call runs in process, with ``configs/`` paths relative to this
 directory.  The expected stdout of call ``name`` is ``expected/<name>.out``,
 its stderr ``expected/<name>.err`` (absent when empty), and its exit code is
-in ``expected/exit_codes.json``.  ``regen.py`` rewrites them.
+in ``expected/exit_codes.json``.  ``regen.py`` writes them for the
+calls that are new or fail their check.
 
 Outputs compare byte for byte, with three exceptions:
 
@@ -111,6 +112,10 @@ def corpus() -> list[Call]:
              "configs/nonfinite_positions.ini"),
         _cli("refuse1-nonfinite-sweep", "sweep", "--config", "configs/nonfinite_sweep.ini"),
         _cli("refuse1-nonfinite-theta", "transfer", "--config", "configs/nonfinite_theta.ini"),
+        # a magnetron occupation below zero, one call per command that reads it
+        *(_cli(f"refuse1-negative-lbar-{command}", command, "--config",
+               "configs/negative_lbar.ini") for command in ("freqs", "couplings", "transfer")),
+        _cli("refuse1-nonpositive-tmax", "transfer", "--config", "configs/nonpositive_tmax.ini"),
         _cli("refuse2-hierarchy", "freqs", "--config", "configs/hierarchy_broken.ini"),
         _cli("refuse2-unstable", "couplings", "--config", "configs/unstable.ini"),
         _cli("refuse3-oracle", "oracle", "--config", "configs/oracle_fail.ini"),

@@ -188,6 +188,16 @@ def test_nonfinite_config_number_is_an_input_error(
         assert captured.err.startswith("error:") and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["freqs", "couplings", "transfer", "fidelity", "sweep"])
+def test_negative_l_bar_is_an_input_error(tmp_path, capsys, command):
+    ini = BASE_INI.replace("l_bar = 2.0", "l_bar = -3")
+    ini += "\n[sweep]\naxes = gradient\ngradient = 600:1800:3\n"
+    assert main([command, "--config", write_config(tmp_path, ini)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [thermal] l_bar must be >= 0\n"
+
+
 class TestExitCodes:
     def test_ok(self, base_config, capsys):
         assert main(["freqs", "--config", base_config]) == 0
@@ -298,6 +308,23 @@ class TestTransferCommand:
         body = body_lines(capsys.readouterr().out)
         assert len(body) == 1 + 3
         assert float(body[1].split(",")[1]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_phi_does_not_change_a_fixed_angle_curve(self, tmp_path, capsys):
+        outputs = []
+        for phi in ("0.0", "2.0"):
+            ini = BASE_INI.replace("n_sites = 2", "n_sites = 3")
+            ini += f"\n[transfer]\ntheta = 1.0\nphi = {phi}\nn_points = 16\n"
+            assert main(["transfer", "--config", write_config(tmp_path, ini)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("t_max", ["0", "-1e-4"])
+    def test_nonpositive_t_max_is_input_error(self, tmp_path, capsys, t_max):
+        path = write_config(tmp_path, BASE_INI + f"\n[transfer]\nt_max = {t_max}\n")
+        assert main(["transfer", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [transfer] t_max must be > 0\n"
 
     def test_bad_theta_is_input_error(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE_INI + "\n[transfer]\ntheta = north\n")

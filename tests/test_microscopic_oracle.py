@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from penning_chain.couplings import Orientation, isotropy_ratio
+from penning_chain import microscopic_oracle
 from penning_chain.fidelity_model import fd
 from penning_chain.microscopic_oracle import (
     FitFailure,
@@ -98,18 +99,14 @@ class TestBuildMicroscopic:
 
 class TestFlipFlopExtraction:
     def test_dispersive_point_both_methods(self, dispersive_system):
-        _, jxy_pred = predicted_couplings(
-            dispersive_system.quantities[0], dispersive_system.xi
-        )
+        _, jxy_pred = predicted_couplings(dispersive_system.dq, dispersive_system.xi)
         split = extract_effective_jxy(dispersive_system, method="splitting")
         fit = extract_effective_jxy(dispersive_system, method="fit")
         assert split / jxy_pred == pytest.approx(0.9081, rel=1e-3)
         assert fit / jxy_pred == pytest.approx(0.8979, rel=1e-3)
 
     def test_strong_point_splitting(self, strong_system):
-        _, jxy_pred = predicted_couplings(
-            strong_system.quantities[0], strong_system.xi
-        )
+        _, jxy_pred = predicted_couplings(strong_system.dq, strong_system.xi)
         split = extract_effective_jxy(strong_system, method="splitting")
         assert split == pytest.approx(6.579368e-5, rel=1e-6)
         assert split / jxy_pred == pytest.approx(0.70866, rel=1e-4)
@@ -186,9 +183,7 @@ class TestFlipFlopExtraction:
 
 class TestIsingExtraction:
     def test_dispersive_point(self, dispersive_system):
-        jz_pred, _ = predicted_couplings(
-            dispersive_system.quantities[0], dispersive_system.xi
-        )
+        jz_pred, _ = predicted_couplings(dispersive_system.dq, dispersive_system.xi)
         jz = extract_effective_jz(dispersive_system)
         assert jz / jz_pred == pytest.approx(0.9228, rel=1e-3)
 
@@ -265,3 +260,24 @@ class TestValidationSuite:
         assert not ising.passed
         assert "overlap" in ising.note
         assert "overall: FAIL" in report.as_text()
+
+    def test_each_truncation_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting_build(dq, xi, orientation, trunc):
+            built.append(trunc.k_max)
+            return build_microscopic(dq, xi, orientation, trunc)
+
+        monkeypatch.setattr(microscopic_oracle, "build_microscopic", counting_build)
+        trunc = FockTruncation(n_max=2, k_max=2)
+        report = run_validation_suite(trunc=trunc)
+        # the suite's own system, then the convergence rows it does not already hold
+        assert built == [2, 1, 3]
+        assert len(built) == trunc.k_max + 1
+
+        dq = synthetic_quantities(0.025, 15.0)
+        for k_max, jxy in report.convergence:
+            fresh = build_microscopic(
+                dq, 0.01 * dq.omega_z, Orientation.AXIAL_Z, FockTruncation(2, k_max)
+            )
+            assert jxy == extract_effective_jxy(fresh, method="splitting")
